@@ -27,10 +27,9 @@ from .exceptions import (
 )
 from .states import BdsSpec, DensityMatrix
 
-GATE_KINDS = ("r", "h", "sdg", "u3", "cx")
+GATE_KINDS = ("r", "h", "cx")
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_SDG_MATRIX = np.array([[1, 0], [0, -1j]], dtype=complex)
 _CX_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -53,8 +52,7 @@ class Gate:
     """One gate application: kind, real parameters, target qubit indices.
 
     For ``cx`` the control is listed first. ``r`` carries one angle x and
-    acts as the real rotation [[cos x, -sin x], [sin x, cos x]]; ``u3``
-    carries (theta, phi, lam).
+    acts as the real rotation [[cos x, -sin x], [sin x, cos x]].
     """
 
     kind: str
@@ -66,7 +64,7 @@ class Gate:
             raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        n_params = {"r": 1, "h": 0, "sdg": 0, "u3": 3, "cx": 0}[self.kind]
+        n_params = 1 if self.kind == "r" else 0
         if len(self.params) != n_params:
             raise OutOfRangeError(f"{self.kind} takes {n_params} parameter(s)")
         n_targets = 2 if self.kind == "cx" else 1
@@ -82,18 +80,6 @@ class Gate:
             )
         if self.kind == "h":
             return _H_MATRIX.copy()
-        if self.kind == "sdg":
-            return _SDG_MATRIX.copy()
-        if self.kind == "u3":
-            theta, phi, lam = self.params
-            c, s = math.cos(theta / 2), math.sin(theta / 2)
-            return np.array(
-                [
-                    [c, -np.exp(1j * lam) * s],
-                    [np.exp(1j * phi) * s, np.exp(1j * (lam + phi)) * c],
-                ],
-                dtype=complex,
-            )
         return _CX_MATRIX.copy()
 
 
@@ -325,13 +311,8 @@ def to_qasm(
         if g.kind == "r":
             # R(x/2) is the native u3(x, 0, 0).
             lines.append(f"u3({_format_angle(2 * g.params[0])},0,0) q[{q[0]}];")
-        elif g.kind == "u3":
-            args = ",".join(_format_angle(p) for p in g.params)
-            lines.append(f"u3({args}) q[{q[0]}];")
         elif g.kind == "h":
             lines.append(f"h q[{q[0]}];")
-        elif g.kind == "sdg":
-            lines.append(f"sdg q[{q[0]}];")
         else:
             lines.append(f"cx q[{q[0]}],q[{q[1]}];")
 
@@ -354,11 +335,3 @@ def circuit_to_json(circ: Circuit) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def circuit_from_json(text: str) -> Circuit:
-    payload = json.loads(text)
-    gates = tuple(
-        Gate(g["kind"], tuple(g.get("params", ())), tuple(g["targets"]))
-        for g in payload["gates"]
-    )
-    return Circuit(n_qubits=int(payload["n_qubits"]), gates=gates)

@@ -67,8 +67,15 @@ def _report_row(report: measures.ResourceReport) -> list[float]:
     ]
 
 
+def _parse_numbers(text: str, flag: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise BellDiagError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _parse_probs(text: str) -> states.BdsSpec:
-    parts = [float(p) for p in text.split(",")]
+    parts = _parse_numbers(text, "--p")
     if len(parts) != 4:
         raise BellDiagError(f"--p needs four comma-separated probabilities, got {len(parts)}")
     return states.BdsSpec(*parts)
@@ -78,14 +85,15 @@ def _parse_layout(text: str) -> dict[str, int]:
     layout = {}
     for item in text.split(","):
         name, _, phys = item.partition(":")
-        if not phys:
-            raise BellDiagError(f"bad layout entry {item!r}, expected name:index")
-        layout[name.strip()] = int(phys)
+        try:
+            layout[name.strip()] = int(phys)
+        except ValueError:
+            raise BellDiagError(f"bad layout entry {item!r}, expected name:index") from None
     return layout
 
 
 def _parse_noise(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(",")]
+    parts = _parse_numbers(text, "--noise")
     if len(parts) != 2:
         raise BellDiagError("--noise needs two comma-separated rates a,p")
     return parts[0], parts[1]
@@ -105,20 +113,15 @@ def _write_output(text: str, out_path: str | None) -> int:
 
 
 def cmd_prepare(args) -> int:
-    try:
-        if args.werner is not None:
-            spec = states.werner_spec(args.werner)
-        else:
-            spec = _parse_probs(args.p)
-        angles = circuit_mod.angles_from_spec(spec)
-        circ = circuit_mod.purification_circuit(spec)
-        rho = circuit_mod.prepared_state(spec)
-        layout = _parse_layout(args.layout) if args.layout else None
-        qasm = circuit_mod.to_qasm(circ, layout=layout) if args.qasm else None
-    except BellDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    if args.werner is not None:
+        spec = states.werner_spec(args.werner)
+    else:
+        spec = _parse_probs(args.p)
+    angles = circuit_mod.angles_from_spec(spec)
+    circ = circuit_mod.purification_circuit(spec)
+    rho = circuit_mod.prepared_state(spec)
+    layout = _parse_layout(args.layout) if args.layout else None
+    qasm = circuit_mod.to_qasm(circ, layout=layout) if args.qasm else None
     doc = {
         "theta": angles.theta,
         "alpha": angles.alpha,
@@ -167,24 +170,20 @@ def _sweep_rows(config: SweepConfig) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        noise_a, noise_p = _parse_noise(args.noise) if args.noise else (0.0, 0.0)
-        config = SweepConfig(
-            family="custom-spec" if args.p else "werner",
-            custom_spec=_parse_probs(args.p) if args.p else None,
-            w_points=args.points,
-            shots=args.shots,
-            seed=args.seed,
-            noise_a=noise_a,
-            noise_p=noise_p,
-            project_physical=not args.no_project,
-        )
-        if config.w_points < 1 or config.shots < 0:
-            raise BellDiagError("--points must be >= 1 and --shots >= 0")
-        rows = _sweep_rows(config)
-    except BellDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    noise_a, noise_p = _parse_noise(args.noise) if args.noise else (0.0, 0.0)
+    config = SweepConfig(
+        family="custom-spec" if args.p else "werner",
+        custom_spec=_parse_probs(args.p) if args.p else None,
+        w_points=args.points,
+        shots=args.shots,
+        seed=args.seed,
+        noise_a=noise_a,
+        noise_p=noise_p,
+        project_physical=not args.no_project,
+    )
+    if config.w_points < 1 or config.shots < 0:
+        raise BellDiagError("--points must be >= 1 and --shots >= 0")
+    rows = _sweep_rows(config)
     return _write_output(CSV_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
 
 
@@ -195,11 +194,7 @@ def cmd_measure(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.state_file}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        rho = states.density_matrix_from_json(text)
-    except BellDiagError as exc:
-        print(f"error: invalid state: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    rho = states.density_matrix_from_json(text)
 
     doc = {
         "n_qubits": rho.n_qubits,
@@ -220,11 +215,7 @@ def cmd_tomograph(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.counts_file}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        counts = tomography.counts_from_json(text)
-    except BellDiagError as exc:
-        print(f"error: invalid counts: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    counts = tomography.counts_from_json(text)
 
     result = tomography.reconstruct(tomography.estimate_correlations(counts))
     doc = {
@@ -279,8 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ``BellDiagError`` from any of them exits with 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BellDiagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

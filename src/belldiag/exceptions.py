@@ -41,5 +41,5 @@ class InvalidLayoutError(BellDiagError):
     """Qubit layout is not an injective map onto physical indices."""
 
 
-class OptimizerFailureError(RuntimeError):
+class OptimizerFailureError(BellDiagError):
     """Numerical optimization produced non-finite objective values."""

@@ -1,9 +1,17 @@
 """Quantumness measures: coherence, discord, negativity, steering, nonlocality.
 
 Discord follows the measured-mutual-information definition: the maximum is
-taken over rank-one projective measurements on qubit b, parametrized by the
-spherical angles of the measurement axis. The optimizer is a dense coarse
-grid followed by Nelder-Mead refinement from the best three grid points.
+taken over rank-one projective measurements on qubit b. In Bloch form
+``rho = (a, b, T)``, read off the Pauli coefficients, measuring qubit b along
+the unit axis n leaves qubit a in the conditional states
+``(1/4)[(1 +- b.n) I + (a +- T n).sigma]`` with probabilities
+``(1 +- b.n)/2`` and eigenvalues ``(1 +- b.n +- |a +- T n|)/4``. One real
+objective, vectorized over axes, gives the measured mutual information from
+these closed forms. The optimizer evaluates it on a (theta, phi) grid over
+the half sphere (n and -n are the same measurement) and then refines the
+best ``DISCORD_REFINE_STARTS`` grid axes together: a 5x5 stencil in the
+tangent plane of each start axis re-centres on its best point and halves
+its step each round.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OptimizerFailureError
@@ -27,7 +34,10 @@ ROUNDOFF_CLAMP = 1e-9
 DISCORD_GRID_THETA = 64
 DISCORD_GRID_PHI = 128
 DISCORD_REFINE_STARTS = 3
-DISCORD_FTOL = 1e-8
+DISCORD_REFINE_ROUNDS = 12
+# Stencil offsets in units of the current step; the first step is half the
+# theta spacing of the grid, so the first stencil spans a grid cell either way.
+_STENCIL = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -82,23 +92,8 @@ def nonlocal_coherence(rho: DensityMatrix) -> float:
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     """Pauli expansion coefficients of a two-qubit state."""
-    m = rho.matrix
-    a_vec = np.array(
-        [float(np.trace(m @ np.kron(qmath.PAULIS[j], qmath.SIGMA_0)).real) for j in (1, 2, 3)]
-    )
-    b_vec = np.array(
-        [float(np.trace(m @ np.kron(qmath.SIGMA_0, qmath.PAULIS[k])).real) for k in (1, 2, 3)]
-    )
-    corr = np.array(
-        [
-            [
-                float(np.trace(m @ np.kron(qmath.PAULIS[j], qmath.PAULIS[k])).real)
-                for k in (1, 2, 3)
-            ]
-            for j in (1, 2, 3)
-        ]
-    )
-    return BlochDecomposition(a_vec=a_vec, b_vec=b_vec, corr=corr)
+    c = qmath.pauli_coefficients(rho.matrix)
+    return BlochDecomposition(a_vec=c[1:, 0], b_vec=c[0, 1:], corr=c[1:, 1:])
 
 
 def correlation_vector(corr: np.ndarray) -> np.ndarray:
@@ -131,135 +126,87 @@ def nonlocality(rho: DensityMatrix) -> float:
     return max(0.0, (math.sqrt(max(0.0, norm_sq - c_min_sq)) - 1.0) / (SQRT2 - 1.0))
 
 
-def _entropy_of(matrix: np.ndarray) -> float:
-    return qmath.entropy_bits(np.linalg.eigvalsh(matrix))
+def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of qubit states with Bloch vectors along the last axis."""
+    r = np.linalg.norm(bloch, axis=-1)
+    return qmath.entropy_bits(np.stack([(1 + r) / 2, (1 - r) / 2], axis=-1))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Quantum mutual information S(rho_a) + S(rho_b) - S(rho)."""
-    sa = _entropy_of(rho.reduced((0,)).matrix)
-    sb = _entropy_of(rho.reduced((1,)).matrix)
-    return sa + sb - _entropy_of(rho.matrix)
+    c = qmath.pauli_coefficients(rho.matrix)
+    joint = qmath.entropy_bits(np.linalg.eigvalsh(rho.matrix))
+    return float(_qubit_entropy(c[1:, 0]) + _qubit_entropy(c[0, 1:]) - joint)
 
 
-def _measured_mutual_information(rho: DensityMatrix, thetas, phis) -> np.ndarray:
-    """Mutual information after measuring qubit b along each (theta, phi) axis.
+def _axes(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors at spherical angles (theta, phi), stacked along a new last axis."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
-    Vectorized over the flat angle arrays. Uses the block reduction of the
-    post-measurement state: its spectrum is the union of the spectra of the
-    two unnormalized conditional states of qubit a.
+
+def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Mutual information after measuring qubit b along each unit axis in ``n`` (..., 3).
+
+    ``S(rho_a) + H(outcomes) - S(post-measurement state)``, where the
+    post-measurement spectrum is the union of the two unnormalized
+    conditional spectra of qubit a.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    st, ct = np.sin(thetas), np.cos(thetas)
-    nx, ny, nz = st * np.cos(phis), st * np.sin(phis), ct
-
-    # P+/- = (I +/- n.sigma)/2, stacked over the grid.
-    n_dot_sigma = (
-        nx[:, None, None] * qmath.SIGMA_1
-        + ny[:, None, None] * qmath.SIGMA_2
-        + nz[:, None, None] * qmath.SIGMA_3
-    )
-    eye = np.broadcast_to(qmath.SIGMA_0, n_dot_sigma.shape)
-    projectors = ((eye + n_dot_sigma) / 2, (eye - n_dot_sigma) / 2)
-
-    t = rho.matrix.reshape(2, 2, 2, 2)  # indices: a_row, b_row, a_col, b_col
-    sa = _entropy_of(rho.reduced((0,)).matrix)
-
-    conditional = 0.0
-    outcome = 0.0
-    for proj in projectors:
-        # M[g] = Tr_b[rho (I x P)], the unnormalized conditional a-state.
-        m = np.einsum("ikjl,glk->gij", t, proj)
-        # 2x2 Hermitian eigenvalues in closed form.
-        m00 = m[:, 0, 0].real
-        m11 = m[:, 1, 1].real
-        half_gap = np.sqrt(((m00 - m11) / 2) ** 2 + np.abs(m[:, 0, 1]) ** 2)
-        mean = (m00 + m11) / 2
-        w = np.clip(np.stack([mean - half_gap, mean + half_gap], axis=1), 0.0, None)
-        p = np.sum(w, axis=1)
-        conditional = conditional + _h_sum(w)
-        outcome = outcome + _h_sum(p[:, None])
-    # I(meas) = S(a) + H(outcomes) - S(post-measurement state)
-    return sa + outcome - conditional
+    a, b, t = c[1:, 0], c[0, 1:], c[1:, 1:]
+    bn = n @ b
+    tn = n @ t.T
+    r_plus = np.linalg.norm(a + tn, axis=-1)
+    r_minus = np.linalg.norm(a - tn, axis=-1)
+    outcomes = np.stack([1 + bn, 1 - bn], axis=-1) / 2
+    spectrum = np.stack(
+        [1 + bn + r_plus, 1 + bn - r_plus, 1 - bn + r_minus, 1 - bn - r_minus], axis=-1
+    ) / 4
+    return _qubit_entropy(a) + qmath.entropy_bits(outcomes) - qmath.entropy_bits(spectrum)
 
 
-def _h_sum(w: np.ndarray) -> np.ndarray:
-    """Row-wise sum of -x log2 x with the 0 log 0 = 0 convention."""
-    safe = np.where(w > qmath.ENTROPY_EIGENVALUE_CUTOFF, w, 1.0)
-    return -np.sum(np.where(w > qmath.ENTROPY_EIGENVALUE_CUTOFF, w * np.log2(safe), 0.0), axis=1)
-
-
-def _h(x: float) -> float:
-    return -x * math.log2(x) if x > qmath.ENTROPY_EIGENVALUE_CUTOFF else 0.0
-
-
-def _measured_mi_scalar(rho: DensityMatrix):
-    """Single-point measured-MI objective, precomputed for optimizer loops."""
-    t = rho.matrix.reshape(2, 2, 2, 2)
-    # tm[(i,j), (l,k)] = rho[ik, jl]; M(P) = tm @ vec(P) gives Tr_b[rho (I x P)].
-    tm = np.ascontiguousarray(t.transpose(0, 2, 3, 1).reshape(4, 4))
-    rho_a_flat = tm @ np.array([1, 0, 0, 1], dtype=complex)
-    sa = _entropy_of(rho_a_flat.reshape(2, 2))
-
-    def objective(theta: float, phi: float) -> float:
-        st = math.sin(theta)
-        nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-        p_vec = np.array(
-            [(1 + nz) / 2, (nx - 1j * ny) / 2, (nx + 1j * ny) / 2, (1 - nz) / 2]
-        )
-        m_plus = tm @ p_vec
-        total = 0.0
-        for m in (m_plus, rho_a_flat - m_plus):
-            m00, m11 = m[0].real, m[3].real
-            half_gap = math.sqrt(((m00 - m11) / 2) ** 2 + abs(m[1]) ** 2)
-            mean = (m00 + m11) / 2
-            lo, hi = max(0.0, mean - half_gap), max(0.0, mean + half_gap)
-            total += _h(lo + hi) - _h(lo) - _h(hi)
-        return sa + total
-
-    return objective
-
-
-def discord_oz(
-    rho: DensityMatrix,
-    n_theta: int = DISCORD_GRID_THETA,
-    n_phi: int = DISCORD_GRID_PHI,
-    refine: bool = True,
-    ftol: float = DISCORD_FTOL,
-) -> float:
+def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     """Discord of a two-qubit state under projective measurements on qubit b.
 
-    Mutual information minus the best measured mutual information; the
-    maximization runs a coarse (theta, phi) grid and then Nelder-Mead from
-    the best ``DISCORD_REFINE_STARTS`` grid points.
+    Mutual information minus the best measured mutual information. The
+    maximization evaluates a (theta, phi) grid over the half sphere and, with
+    ``refine``, runs a shrinking stencil from the best
+    ``DISCORD_REFINE_STARTS`` grid axes.
     """
     if not np.all(np.isfinite(rho.matrix)):
         raise OptimizerFailureError("state matrix has non-finite entries")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    c = qmath.pauli_coefficients(rho.matrix)
+    thetas = np.linspace(0.0, math.pi, DISCORD_GRID_THETA)[: DISCORD_GRID_THETA // 2]
+    phis = np.linspace(0.0, 2 * math.pi, DISCORD_GRID_PHI, endpoint=False)
+    tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
     try:
         total_mi = mutual_information(rho)
-        values = _measured_mutual_information(rho, tt.ravel(), pp.ravel())
     except np.linalg.LinAlgError as exc:
         raise OptimizerFailureError(f"inner eigenvalue computation failed: {exc}") from exc
+    values = _measured_mi(c, _axes(tt, pp))
     if not (np.isfinite(total_mi) and np.all(np.isfinite(values))):
         raise OptimizerFailureError("measured mutual information is not finite")
 
     best = float(np.max(values))
     if refine:
-        objective = _measured_mi_scalar(rho)
-        order = np.argsort(values)[::-1][:DISCORD_REFINE_STARTS]
-        for idx in order:
-            res = optimize.minimize(
-                lambda x: -objective(x[0], x[1]),
-                x0=np.array([tt.ravel()[idx], pp.ravel()[idx]]),
-                method="Nelder-Mead",
-                options={"fatol": ftol, "xatol": 1e-6, "maxfev": 400},
-            )
-            if np.isfinite(res.fun):
-                best = max(best, -float(res.fun))
+        # Each start axis n0 is refined in the chart n0 + u e_theta + v e_phi,
+        # renormalized, which unlike (theta, phi) stays regular at the poles.
+        # The unit tangents are the axes at (theta + pi/2, phi) and
+        # (pi/2, phi + pi/2).
+        starts = np.argsort(values)[::-1][:DISCORD_REFINE_STARTS]
+        theta, phi = tt[starts], pp[starts]
+        n0 = _axes(theta, phi)[:, None, :]
+        e_theta = _axes(theta + math.pi / 2, phi)[:, None, :]
+        e_phi = _axes(np.full_like(phi, math.pi / 2), phi + math.pi / 2)[:, None, :]
+        rows = np.arange(len(starts))
+        centres = np.zeros((len(starts), 1, 2))
+        step = (thetas[1] - thetas[0]) / 2
+        for _ in range(DISCORD_REFINE_ROUNDS):
+            uv = centres + _STENCIL * step
+            n = n0 + uv[..., :1] * e_theta + uv[..., 1:] * e_phi
+            trial = _measured_mi(c, n / np.linalg.norm(n, axis=-1, keepdims=True))
+            centres = uv[rows, np.argmax(trial, axis=1)][:, None, :]
+            step /= 2
+        best = max(best, float(np.max(trial)))
 
     return max(0.0, _clamp_roundoff(total_mi - best))
 

@@ -3,6 +3,11 @@
 All functions operate on square ``numpy`` arrays of ``complex`` dtype and are
 pure: inputs are never mutated. Dimensions in this package never exceed 16,
 so everything is done densely with LAPACK-backed eigendecompositions.
+
+This module also owns the Pauli convention of the package. A two-qubit
+operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
+coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
+``from_pauli_coefficients`` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import numpy as np
 from .exceptions import (
     DimensionMismatchError,
     NegativeSpectrumError,
-    NotAStateError,
     NotHermitianError,
 )
 
@@ -28,6 +32,10 @@ SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
+
+# PAULI_PRODUCTS[j, k] = sigma_j x sigma_k, the two-qubit Pauli basis.
+PAULI_PRODUCTS = np.array([[np.kron(sj, sk) for sk in PAULIS] for sj in PAULIS])
+PAULI_PRODUCTS.setflags(write=False)
 
 
 class HermitianEigenResult(NamedTuple):
@@ -61,11 +69,6 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     if defect > atol:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m†| = {defect:.3e}")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two square matrices."""
-    return np.kron(_as_square(a), _as_square(b))
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
@@ -150,27 +153,36 @@ def partial_transpose(m: np.ndarray, dims: tuple[int, int], subsystem: str = "b"
     return t.reshape(da * db, da * db)
 
 
-def vn_entropy(rho: np.ndarray, atol: float = HERMITICITY_ATOL) -> float:
-    """Von Neumann entropy in bits of a density matrix.
+def pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """Real 4x4 Pauli coefficients ``c_jk = Tr(m sigma_j x sigma_k)`` of a two-qubit operator.
 
-    Eigenvalues below ``ENTROPY_EIGENVALUE_CUTOFF`` are skipped (0·log 0 = 0).
+    ``c[0, 0]`` is the trace, ``c[1:, 0]`` and ``c[0, 1:]`` are the Bloch
+    vectors of qubits a and b, and ``c[1:, 1:]`` is the correlation matrix.
+    Only the real part is kept, which is exact for Hermitian ``m``.
     """
-    a = _as_square(rho)
-    defect = hermiticity_defect(a)
-    if defect > atol:
-        raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > atol:
-        raise NotAStateError(f"trace is {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < EIGENVALUE_CLIP_FLOOR:
-        raise NotAStateError(f"negative eigenvalue {w[0]:.3e}")
-    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    a = _as_square(m)
+    if a.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a two-qubit 4x4 operator, got shape {a.shape}")
+    return np.einsum("jkab,ba->jk", PAULI_PRODUCTS, a).real
 
 
-def entropy_bits(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy in bits of a spectrum, clipping round-off negatives."""
-    w = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
-    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
+    """Two-qubit operator ``(1/4) sum_jk c_jk sigma_j x sigma_k``.
+
+    The inverse of ``pauli_coefficients``.
+    """
+    c = np.asarray(c)
+    if c.shape != (4, 4):
+        raise DimensionMismatchError(f"expected 4x4 Pauli coefficients, got shape {c.shape}")
+    return np.einsum("jk,jkab->ab", c, PAULI_PRODUCTS) / 4.0
+
+
+def entropy_bits(probabilities: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits over the last axis, with 0 log 0 = 0.
+
+    Applied to a spectrum it is the von Neumann entropy. Round-off negatives
+    are clipped and entries below ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0.
+    """
+    w = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    kept = w > ENTROPY_EIGENVALUE_CUTOFF
+    return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)

@@ -41,6 +41,8 @@ class BdsSpec:
 
     def __post_init__(self):
         p = self.probabilities
+        if not np.all(np.isfinite(p)):
+            raise InvalidProbabilitiesError(f"probabilities must be finite: {p.tolist()}")
         if np.any(p < -PROBABILITY_ATOL) or np.any(p > 1 + PROBABILITY_ATOL):
             raise InvalidProbabilitiesError(f"probabilities out of [0, 1]: {p.tolist()}")
         total = float(np.sum(p))
@@ -61,6 +63,8 @@ class CorrelationTriple:
     c3: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.as_tuple())):
+            raise OutOfRangeError(f"correlations must be finite: {self.as_tuple()}")
         p = bell_probabilities_from_correlations(self.c1, self.c2, self.c3)
         if np.min(p) < -PROBABILITY_ATOL:
             raise UnphysicalCorrelationsError(
@@ -80,10 +84,14 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotAStateError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] < 2:
+            raise NotAStateError(f"dimension {m.shape[0]} holds no qubit")
         n = int(np.log2(m.shape[0]))
         if 2**n != m.shape[0]:
             raise NotAStateError(f"dimension {m.shape[0]} is not a power of two")
         if validate:
+            if not np.all(np.isfinite(m)):
+                raise NotAStateError("matrix has non-finite entries")
             defect = qmath.hermiticity_defect(m)
             if defect > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")

@@ -24,6 +24,9 @@ _BASIS_INDEX = {"X": 1, "Y": 2, "Z": 3}
 
 # Outcome order for the four counts of one setting.
 OUTCOMES = ("pp", "pm", "mp", "mm")
+# Local eigenvalue signs (s_a, s_b) of each outcome, in OUTCOMES order.
+_SIGNS_A = np.array([1, 1, -1, -1])
+_SIGNS_B = np.array([1, -1, 1, -1])
 
 PROJECTION_EIGENVALUE_TRIGGER = -1e-8
 
@@ -102,27 +105,17 @@ class ReconstructionResult:
     raw_matrix: np.ndarray
 
 
-def _pauli_projectors(basis: str) -> tuple[np.ndarray, np.ndarray]:
-    sigma = qmath.PAULIS[_BASIS_INDEX[basis]]
-    plus = (qmath.SIGMA_0 + sigma) / 2
-    minus = (qmath.SIGMA_0 - sigma) / 2
-    return plus, minus
+def _born_from_coefficients(c: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
+    """``p(s_a, s_b) = (1 + s_a c_j0 + s_b c_0k + s_a s_b c_jk) / 4`` in outcome order."""
+    j = _BASIS_INDEX[setting.basis_a]
+    k = _BASIS_INDEX[setting.basis_b]
+    probs = (1 + _SIGNS_A * c[j, 0] + _SIGNS_B * c[0, k] + _SIGNS_A * _SIGNS_B * c[j, k]) / 4
+    return np.clip(probs, 0.0, None)
 
 
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
     """Joint outcome probabilities (++, +-, -+, --) for one setting."""
-    if rho.n_qubits != 2:
-        raise DimensionMismatchError("tomography operates on two-qubit states")
-    pa = _pauli_projectors(setting.basis_a)
-    pb = _pauli_projectors(setting.basis_b)
-    probs = np.array(
-        [
-            float(np.trace(rho.matrix @ np.kron(pa[i], pb[j])).real)
-            for i in (0, 1)
-            for j in (0, 1)
-        ]
-    )
-    return np.clip(probs, 0.0, None)
+    return _born_from_coefficients(qmath.pauli_coefficients(rho.matrix), setting)
 
 
 def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts:
@@ -134,9 +127,10 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     """
     if shots < 1:
         raise OutOfRangeError("shots must be >= 1")
+    c = qmath.pauli_coefficients(rho.matrix)
     counts = {}
     for idx, setting in enumerate(SETTINGS):
-        probs = born_probabilities(rho, setting)
+        probs = _born_from_coefficients(c, setting)
         probs = probs / probs.sum()
         key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, idx])
         rng = np.random.Generator(np.random.Philox(key))
@@ -144,9 +138,9 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     return TomographyCounts(shots_per_setting=shots, counts=counts)
 
 
-def _correlations_from_frequencies(
-    freqs: Mapping[MeasurementSetting, np.ndarray]
-) -> CorrelationMatrix:
+def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
+    """Empirical correlation matrix from measured counts."""
+    freqs = counts.frequencies()
     c = np.zeros((4, 4), dtype=float)
     c[0, 0] = 1.0
     marg_a = {b: [] for b in BASES}
@@ -166,15 +160,11 @@ def _correlations_from_frequencies(
     return CorrelationMatrix(np.clip(c, -1.0, 1.0))
 
 
-def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
-    """Empirical correlation matrix from measured counts."""
-    return _correlations_from_frequencies(counts.frequencies())
-
-
 def exact_correlations(rho: DensityMatrix) -> CorrelationMatrix:
-    """Infinite-shot correlation matrix, via exact Born probabilities."""
-    freqs = {s: born_probabilities(rho, s) for s in SETTINGS}
-    return _correlations_from_frequencies(freqs)
+    """Infinite-shot correlation matrix: the state's Pauli coefficients."""
+    c = qmath.pauli_coefficients(rho.matrix)
+    c[0, 0] = 1.0
+    return CorrelationMatrix(np.clip(c, -1.0, 1.0))
 
 
 def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
@@ -183,11 +173,7 @@ def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
     Projection clips negative eigenvalues to zero and renormalizes the
     trace; the unmodified linear-inversion matrix is kept for inspection.
     """
-    raw = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        for k in range(4):
-            raw += corr.values[j, k] * np.kron(qmath.PAULIS[j], qmath.PAULIS[k])
-    raw /= 4.0
+    raw = qmath.from_pauli_coefficients(corr.values)
 
     w, v = np.linalg.eigh(raw)
     if w[0] < PROJECTION_EIGENVALUE_TRIGGER:

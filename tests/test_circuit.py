@@ -6,8 +6,7 @@ import belldiag as bd
 from belldiag.circuit import (
     Circuit,
     Gate,
-    circuit_from_json,
-    circuit_to_json,
+    _format_angle,
     purification_circuit,
     to_qasm,
 )
@@ -26,8 +25,6 @@ class TestGates:
         [
             Gate("r", (0.37,), (0,)),
             Gate("h", (), (0,)),
-            Gate("sdg", (), (0,)),
-            Gate("u3", (0.7, 1.1, -0.4), (0,)),
             Gate("cx", (), (0, 1)),
         ],
     )
@@ -36,13 +33,17 @@ class TestGates:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12)
 
     def test_r_matches_u3(self):
-        # R(x/2) equals the hardware gate u3(x, 0, 0).
-        for x in (0.3, 1.9, np.pi):
-            np.testing.assert_allclose(
-                Gate("r", (x / 2,), (0,)).matrix(),
-                Gate("u3", (x, 0.0, 0.0), (0,)).matrix(),
-                atol=1e-12,
+        # R(x/2) equals the hardware gate u3(x, 0, 0) that to_qasm emits for it.
+        def u3(theta, phi, lam):
+            c, s = np.cos(theta / 2), np.sin(theta / 2)
+            return np.array(
+                [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (lam + phi)) * c]]
             )
+
+        for x in (0.3, 1.9, np.pi):
+            gate = Gate("r", (x / 2,), (0,))
+            assert f"u3({_format_angle(x)},0,0) q[0];" in to_qasm(Circuit(1, (gate,)))
+            np.testing.assert_allclose(gate.matrix(), u3(x, 0.0, 0.0), atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
@@ -256,21 +257,9 @@ class TestQasm:
             to_qasm(circ, layout={"z": 0, "b": 1, "c": 2, "d": 3})
 
     def test_angle_formatting(self):
-        from belldiag.circuit import _format_angle
-
         assert _format_angle(np.pi) == "pi"
         assert _format_angle(2 * np.pi / 3) == "2*pi/3"
         assert _format_angle(-np.pi / 2) == "-pi/2"
         assert _format_angle(0.0) == "0"
         assert float(_format_angle(0.123456)) == pytest.approx(0.123456)
 
-
-class TestCircuitJson:
-    def test_round_trip(self, rng):
-        circ = purification_circuit(random_spec(rng))
-        back = circuit_from_json(circuit_to_json(circ))
-        assert back.n_qubits == circ.n_qubits
-        assert [g.kind for g in back.gates] == [g.kind for g in circ.gates]
-        for got, want in zip(back.gates, circ.gates):
-            assert got.targets == want.targets
-            assert got.params == pytest.approx(want.params)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """Run a fresh interpreter that imports belldiag from the tested source tree."""
+    src = str(Path(bd.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def run_cli(*argv):
+    return run_python("-c", "import sys; from belldiag.cli import main; sys.exit(main())", *argv)
 
 
 def parse_csv(text):
@@ -204,3 +222,40 @@ class TestTomograph:
         path.write_text(json.dumps(payload))
         code, _, _ = run(capsys, "tomograph", str(path))
         assert code == EXIT_VALIDATION
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prepare", "--p", "abc,0,0,1"),
+            ("prepare", "--werner", "0.5", "--layout", "a:x"),
+            ("sweep", "--noise", "x,0"),
+            ("prepare", "--p", "nan,0,0,1"),
+            ("sweep", "--p", "nan,0,0,1", "--points", "2", "--shots", "0"),
+        ],
+        ids=["text-probs", "text-layout", "text-noise", "nan-prepare", "nan-sweep"],
+    )
+    def test_bad_input_exits_2_without_traceback(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error" in proc.stderr
+
+    def test_non_finite_state_file_exits_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            json.dumps({"n_qubits": 2, "re": [[float("nan")] * 4] * 4, "im": [[0.0] * 4] * 4})
+        )
+        proc = run_cli("measure", str(path))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "non-finite" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = run_python(
+        "-c", "import sys, belldiag; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from helpers import ginibre_state, random_psd, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import discord_grid_oracle, negativity_bruteforce
 
 import belldiag as bd
+from belldiag.exceptions import BellDiagError, OptimizerFailureError
 from belldiag.measures import mutual_information
 
 SQRT2 = math.sqrt(2.0)
@@ -79,12 +82,20 @@ class TestDiscord:
         assert bd.discord_oz(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_non_finite_input_raises(self):
-        from belldiag.exceptions import OptimizerFailureError
-
         bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         bad[0, 0] = np.nan
         with pytest.raises(OptimizerFailureError):
             bd.discord_oz(bd.DensityMatrix(bad, validate=False))
+
+    def test_optimizer_failure_is_a_validation_error(self):
+        bad = np.full((4, 4), np.inf, dtype=complex)
+        with pytest.raises(BellDiagError):
+            bd.discord_oz(bd.DensityMatrix(bad, validate=False))
+
+    def test_refinement_never_lowers_the_grid_value(self, rng):
+        for _ in range(20):
+            rho = ginibre_state(rng)
+            assert bd.discord_oz(rho) <= bd.discord_oz(rho, refine=False)
 
 
 class TestNegativity:
@@ -199,15 +210,17 @@ class TestFullReport:
 
 
 class TestLocalUnitaryInvariance:
-    def test_measures_invariant(self, rng):
-        for _ in range(5):
-            rho = ginibre_state(rng)
-            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            rotated = bd.DensityMatrix(u @ rho.matrix @ u.conj().T, validate=False)
-            assert bd.negativity(rotated) == pytest.approx(bd.negativity(rho), abs=1e-6)
-            assert bd.steering(rotated) == pytest.approx(bd.steering(rho), abs=1e-6)
-            assert bd.nonlocality(rotated) == pytest.approx(bd.nonlocality(rho), abs=1e-6)
-            assert bd.discord_oz(rotated) == pytest.approx(bd.discord_oz(rho), abs=1e-4)
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_measures_invariant(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        rho = ginibre_state(rng, rank=rank)
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        rotated = bd.DensityMatrix(u @ rho.matrix @ u.conj().T, validate=False)
+        assert bd.negativity(rotated) == pytest.approx(bd.negativity(rho), abs=1e-9)
+        assert bd.steering(rotated) == pytest.approx(bd.steering(rho), abs=1e-9)
+        assert bd.nonlocality(rotated) == pytest.approx(bd.nonlocality(rho), abs=1e-9)
+        assert bd.discord_oz(rotated) == pytest.approx(bd.discord_oz(rho), abs=1e-7)
 
 
 class TestHierarchy:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from helpers import random_hermitian, random_psd
+from helpers import ginibre_state, random_hermitian, random_psd
 
 from belldiag import qmath
 from belldiag.exceptions import (
     DimensionMismatchError,
     NegativeSpectrumError,
-    NotAStateError,
     NotHermitianError,
 )
 from belldiag.states import bell_state_vector
@@ -16,16 +15,16 @@ I2 = np.eye(2, dtype=complex)
 
 class TestKron:
     def test_identity(self):
-        np.testing.assert_allclose(qmath.kron(I2, I2), np.eye(4))
+        np.testing.assert_allclose(qmath.kron_all([I2, I2]), np.eye(4))
 
     def test_sigma1_sigma1(self):
         expected = np.fliplr(np.eye(4))
-        np.testing.assert_allclose(qmath.kron(qmath.SIGMA_1, qmath.SIGMA_1), expected)
+        np.testing.assert_allclose(qmath.kron_all([qmath.SIGMA_1, qmath.SIGMA_1]), expected)
 
     def test_projector_sigma3(self):
         proj = np.diag([1.0, 0.0]).astype(complex)
         np.testing.assert_allclose(
-            qmath.kron(proj, qmath.SIGMA_3), np.diag([1.0, -1.0, 0.0, 0.0])
+            qmath.kron_all([proj, qmath.SIGMA_3]), np.diag([1.0, -1.0, 0.0, 0.0])
         )
 
     def test_associative_and_bilinear(self, rng):
@@ -33,13 +32,13 @@ class TestKron:
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            np.testing.assert_allclose(
-                qmath.kron(qmath.kron(a, b), c), qmath.kron(a, qmath.kron(b, c)), atol=1e-12
-            )
+            abc = qmath.kron_all([a, b, c])
+            np.testing.assert_allclose(qmath.kron_all([qmath.kron_all([a, b]), c]), abc, atol=1e-12)
+            np.testing.assert_allclose(qmath.kron_all([a, qmath.kron_all([b, c])]), abc, atol=1e-12)
             s, t = rng.normal(), rng.normal()
             np.testing.assert_allclose(
-                qmath.kron(s * a + t * c, b),
-                s * qmath.kron(a, b) + t * qmath.kron(c, b),
+                qmath.kron_all([s * a + t * c, b]),
+                s * qmath.kron_all([a, b]) + t * qmath.kron_all([c, b]),
                 atol=1e-12,
             )
 
@@ -47,6 +46,35 @@ class TestKron:
         np.testing.assert_allclose(
             qmath.kron_all([I2, qmath.SIGMA_1]), np.kron(I2, qmath.SIGMA_1)
         )
+
+
+class TestPauliCoefficients:
+    def test_round_trip_on_ginibre_states(self, rng):
+        for rank in (1, 2, 3, 4):
+            for _ in range(25):
+                rho = ginibre_state(rng, rank=rank).matrix
+                c = qmath.pauli_coefficients(rho)
+                assert c.dtype == float
+                assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
+                np.testing.assert_allclose(qmath.from_pauli_coefficients(c), rho, atol=1e-12)
+
+    def test_matches_trace_definition(self, rng):
+        m = random_hermitian(rng, 4)
+        c = qmath.pauli_coefficients(m)
+        for j, sj in enumerate(qmath.PAULIS):
+            for k, sk in enumerate(qmath.PAULIS):
+                assert c[j, k] == pytest.approx(np.trace(m @ np.kron(sj, sk)).real, abs=1e-12)
+
+    def test_bell_state(self):
+        v = bell_state_vector(1, 1)
+        c = qmath.pauli_coefficients(np.outer(v, v.conj()))
+        np.testing.assert_allclose(c, np.diag([1.0, -1.0, -1.0, -1.0]), atol=1e-15)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            qmath.pauli_coefficients(np.eye(2, dtype=complex))
+        with pytest.raises(DimensionMismatchError):
+            qmath.from_pauli_coefficients(np.eye(3))
 
 
 class TestHermitianEigen:
@@ -180,14 +208,18 @@ class TestPartialTranspose:
 class TestVnEntropy:
     def test_pure_state(self):
         v = bell_state_vector(0, 0)
-        assert qmath.vn_entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
+        spectrum = np.linalg.eigvalsh(np.outer(v, v.conj()))
+        assert qmath.entropy_bits(spectrum) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert qmath.vn_entropy(np.eye(2, dtype=complex) / 2) == pytest.approx(1.0)
-        assert qmath.vn_entropy(np.eye(4, dtype=complex) / 4) == pytest.approx(2.0)
+        assert qmath.entropy_bits(np.linalg.eigvalsh(np.eye(2) / 2)) == pytest.approx(1.0)
+        assert qmath.entropy_bits(np.linalg.eigvalsh(np.eye(4) / 4)) == pytest.approx(2.0)
 
-    def test_rejects_invalid_states(self):
-        with pytest.raises(NotAStateError):
-            qmath.vn_entropy(np.eye(2, dtype=complex))  # trace 2
-        with pytest.raises(NotAStateError):
-            qmath.vn_entropy(np.diag([1.5, -0.5]).astype(complex))
+    def test_vectorized_over_last_axis(self, rng):
+        rows = rng.dirichlet(np.ones(4), size=(3, 5))
+        rows[0, 0] = [0.5, 0.5, 0.0, -1e-17]
+        batched = qmath.entropy_bits(rows)
+        assert batched.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert batched[idx] == qmath.entropy_bits(rows[idx])
+        assert batched[0, 0] == pytest.approx(1.0, abs=1e-15)

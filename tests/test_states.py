@@ -71,6 +71,11 @@ class TestBdsSpec:
         with pytest.raises(InvalidProbabilitiesError):
             bd.BdsSpec(0.3, 0.3, 0.3, 0.3)
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidProbabilitiesError, match="finite"):
+                bd.BdsSpec(bad, 0, 0, 1)
+
 
 class TestCorrelations:
     def test_zero_triple_is_uniform(self):
@@ -89,6 +94,11 @@ class TestCorrelations:
     def test_unphysical_triple(self):
         with pytest.raises(UnphysicalCorrelationsError):
             bd.CorrelationTriple(1, 1, 1)
+
+    def test_rejects_non_finite_triple(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfRangeError, match="finite"):
+                bd.CorrelationTriple(bad, 0, 0)
 
     def test_round_trip(self, rng):
         for _ in range(50):
@@ -141,6 +151,21 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotAStateError, match="eigenvalue"):
             bd.DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotAStateError, match="non-finite"):
+            bd.DensityMatrix(np.full((4, 4), np.nan))
+        for bad in (np.nan, np.inf):
+            m = np.eye(4, dtype=complex) / 4
+            m[1, 2] = m[2, 1] = bad
+            with pytest.raises(NotAStateError, match="non-finite"):
+                bd.DensityMatrix(m)
+
+    def test_rejects_fewer_than_one_qubit(self):
+        for m in (np.ones((1, 1)), np.zeros((0, 0))):
+            for validate in (True, False):
+                with pytest.raises(NotAStateError, match="no qubit"):
+                    bd.DensityMatrix(m, validate=validate)
 
     def test_immutable(self):
         rho = bd.werner(0.5)
