@@ -25,6 +25,8 @@ class TestGates:
         [
             Gate("r", (0.37,), (0,)),
             Gate("h", (), (0,)),
+            Gate("r", (-2.1,), (1,)),
+            Gate("cx", (), (1, 0)),
             Gate("cx", (), (0, 1)),
         ],
     )
