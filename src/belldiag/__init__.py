@@ -5,7 +5,6 @@ from .circuit import (
     Circuit,
     Gate,
     angles_from_spec,
-    build_bds_circuit,
     prepared_state,
     probs_from_angles,
     purification_circuit,

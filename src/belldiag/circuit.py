@@ -1,18 +1,17 @@
-"""Gate set, preparation circuits, state-vector simulation, and QASM export.
+"""Gate set, the preparation circuit, state-vector simulation, and QASM export.
 
-Two circuit builders are provided. ``build_bds_circuit`` emits the six-gate
-layout with both superposition rotations unconditional; it covers exactly the
-Bell-diagonal states whose probability table factorizes as a product of its
-(j, k) marginals. ``purification_circuit`` generalizes the second rotation to
-be conditioned on qubit ``a`` (four native gates), which prepares *any*
-Bell-diagonal state exactly; it degenerates to the six-gate layout whenever
-the conditioning is trivial.
+``purification_circuit`` prepares any Bell-diagonal state as the reduced
+state of a four-qubit pure state. The rotation on qubit ``b`` is conditioned
+on qubit ``a`` through a CNOT-conjugated rotation pair; when the two
+conditionals of k given j agree, which includes every product-form spec, that
+pair collapses to one rotation and the circuit has six gates.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -22,7 +21,6 @@ from . import qmath
 from .exceptions import (
     DimensionMismatchError,
     InvalidLayoutError,
-    NotNormalizedError,
     OutOfRangeError,
 )
 from .states import BdsSpec, DensityMatrix
@@ -34,10 +32,13 @@ _CX_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
-# 4-qubit register of the preparation circuits.
+# 4-qubit register of the preparation circuit.
 PREP_QUBIT_NAMES = ("a", "b", "c", "d")
 # Hardware encoding used for QASM export: a->Q1, b->Q3, c->Q2, d->Q4.
 DEFAULT_PREP_LAYOUT = {0: 1, 1: 3, 2: 2, 3: 4}
+# A row of the (j, k) probability table with no more mass than this is empty,
+# and a conditional-angle difference no larger than this is zero.
+PREP_ATOL = 1e-14
 
 
 class AnglePair(NamedTuple):
@@ -126,54 +127,37 @@ def probs_from_angles(angles: AnglePair) -> BdsSpec:
     return BdsSpec(*(p / np.sum(p)))
 
 
-def build_bds_circuit(angles: AnglePair) -> Circuit:
-    """Six-gate preparation circuit on qubits a, b, c, d = 0..3.
-
-    Sequence: R(theta/2) on a, R(alpha/2) on b, CNOT a->c, CNOT b->d,
-    H on d, CNOT d->c.
-    """
-    gates = (
-        Gate("r", (angles.theta / 2,), (0,)),
-        Gate("r", (angles.alpha / 2,), (1,)),
-        Gate("cx", (), (0, 2)),
-        Gate("cx", (), (1, 3)),
-        Gate("h", (), (3,)),
-        Gate("cx", (), (3, 2)),
-    )
-    return Circuit(n_qubits=4, gates=gates, qubit_names=PREP_QUBIT_NAMES)
-
-
-def purification_circuit(spec: BdsSpec, atol: float = 1e-14) -> Circuit:
+def purification_circuit(spec: BdsSpec) -> Circuit:
     """Circuit preparing the exact four-qubit purification of any spec.
 
     Qubit a is rotated by half the angle whose cosine squared is the
     j-marginal p00+p01; qubit b gets the rotation matching the conditional
     distribution of k given j, implemented with a CNOT-conjugated rotation
     pair when the two conditionals differ. The copy CNOTs then imprint
-    (j, k) on qubits c, d, and the closing H/CNOT pair rotates c, d into
-    the Bell basis. The partial trace over a, b leaves the target state.
+    (j, k) on qubits c, d, and the closing pair, H on c then CNOT c->d,
+    rotates c, d into the Bell basis. The partial trace over a, b leaves
+    the target state.
     """
     p = spec.probabilities
-    pj0 = p[0] + p[1]
-    theta = 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, pj0))))
+    theta = 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, p[0] + p[1]))))
 
-    # gamma_j: half-angle of the b rotation conditioned on a = j.
-    def conditional_angle(num: float, den: float, fallback: float) -> float:
-        if den <= atol:
-            return fallback
+    # gamma_j: half-angle of the b rotation conditioned on a = j; None for an empty row.
+    def conditional_angle(num: float, den: float) -> float | None:
+        if den <= PREP_ATOL:
+            return None
         return math.acos(math.sqrt(min(1.0, max(0.0, num / den))))
 
-    alpha = angles_from_spec(spec).alpha
-    gamma0 = conditional_angle(p[0], p[0] + p[1], alpha / 2)
-    gamma1 = conditional_angle(p[2], p[2] + p[3], alpha / 2)
-    if p[0] + p[1] <= atol:
+    gamma0 = conditional_angle(p[0], p[0] + p[1])
+    gamma1 = conditional_angle(p[2], p[2] + p[3])
+    # An empty row takes the other row's angle; a normalised spec has a non-empty row.
+    if gamma0 is None:
         gamma0 = gamma1
-    if p[2] + p[3] <= atol:
+    if gamma1 is None:
         gamma1 = gamma0
 
     gates: list[Gate] = [Gate("r", (theta / 2,), (0,))]
     half_diff = (gamma1 - gamma0) / 2
-    if abs(half_diff) <= atol:
+    if abs(half_diff) <= PREP_ATOL:
         gates.append(Gate("r", (gamma0,), (1,)))
     else:
         gates.append(Gate("r", ((gamma0 + gamma1) / 2,), (1,)))
@@ -187,45 +171,29 @@ def purification_circuit(spec: BdsSpec, atol: float = 1e-14) -> Circuit:
     return Circuit(n_qubits=4, gates=tuple(gates), qubit_names=PREP_QUBIT_NAMES)
 
 
-def _apply_single(psi: np.ndarray, u: np.ndarray, target: int, n: int) -> np.ndarray:
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, target, 0)
+# _FRONT_AXES[m]: the leading m axes, where _apply moves a gate's m targets.
+_FRONT_AXES = ((), (0,), (0, 1))
+
+
+def _apply(psi: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Apply ``u`` to the qubits ``targets``, the first of them most significant in ``u``."""
+    front = _FRONT_AXES[len(targets)]
+    t = np.moveaxis(psi.reshape((2,) * n), targets, front)
     shape = t.shape
-    t = (u @ t.reshape(2, -1)).reshape(shape)
-    return np.moveaxis(t, 0, target).reshape(-1)
+    t = (u @ t.reshape(u.shape[0], -1)).reshape(shape)
+    return np.moveaxis(t, front, targets).reshape(-1)
 
 
-def _apply_two(psi: np.ndarray, u: np.ndarray, q0: int, q1: int, n: int) -> np.ndarray:
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, (q0, q1), (0, 1))
-    shape = t.shape
-    t = (u @ t.reshape(4, -1)).reshape(shape)
-    return np.moveaxis(t, (0, 1), (q0, q1)).reshape(-1)
-
-
-def simulate_statevector(circ: Circuit, state: int | np.ndarray = 0) -> np.ndarray:
-    """Apply the circuit's gates in order to a basis state or amplitude vector."""
+def simulate_statevector(circ: Circuit, basis: int = 0) -> np.ndarray:
+    """Apply the circuit's gates in order to the computational basis state ``basis``."""
     dim = 2**circ.n_qubits
-    if isinstance(state, (int, np.integer)):
-        if not 0 <= int(state) < dim:
-            raise DimensionMismatchError(f"basis index {state} out of range for dim {dim}")
-        psi = np.zeros(dim, dtype=complex)
-        psi[int(state)] = 1.0
-    else:
-        psi = np.asarray(state, dtype=complex).reshape(-1)
-        if psi.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"input dimension {psi.shape[0]} does not match 2^{circ.n_qubits}"
-            )
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-12:
-            raise NotNormalizedError(f"input norm is {norm!r}, expected 1")
-        psi = psi.copy()
+    basis = operator.index(basis)
+    if not 0 <= basis < dim:
+        raise DimensionMismatchError(f"basis index {basis} out of range for dim {dim}")
+    psi = np.zeros(dim, dtype=complex)
+    psi[basis] = 1.0
     for g in circ.gates:
-        if g.kind == "cx":
-            psi = _apply_two(psi, g.matrix(), g.targets[0], g.targets[1], circ.n_qubits)
-        else:
-            psi = _apply_single(psi, g.matrix(), g.targets[0], circ.n_qubits)
+        psi = _apply(psi, g.matrix(), g.targets, circ.n_qubits)
     return psi
 
 
@@ -267,7 +235,7 @@ def to_qasm(
     """Emit OpenQASM 2.0 for the circuit.
 
     ``layout`` maps logical qubits (index or register name) to physical
-    indices; the 4-qubit preparation circuits default to the hardware
+    indices; the 4-qubit preparation circuit defaults to the hardware
     encoding a->1, b->3, c->2, d->4, other circuits to the identity.
     ``measure_basis`` maps logical qubits to "X", "Y" or "Z"; X-basis
     measurements are prefixed by h, Y-basis by sdg then h.

@@ -27,12 +27,12 @@ EXIT_IO = 3
 class SweepConfig:
     """Parameters of one sweep; defaults follow the 11-point, 8192-shot protocol.
 
-    The sweep family is "werner" or "custom-spec". A custom sweep mixes the
-    maximally mixed state toward ``custom_spec`` with weight w, which reduces
-    to the Werner family when the target is the (1,1) Bell state.
+    Without ``custom_spec`` the sweep follows the Werner family. With it, the
+    sweep mixes the maximally mixed state toward ``custom_spec`` with weight
+    w, which reduces to the Werner family when the target is the (1,1) Bell
+    state.
     """
 
-    family: str = "werner"
     custom_spec: states.BdsSpec | None = None
     w_points: int = 11
     shots: int = 8192
@@ -42,14 +42,10 @@ class SweepConfig:
     project_physical: bool = True
 
     def spec_at(self, w: float) -> states.BdsSpec:
-        if self.family == "werner":
+        if self.custom_spec is None:
             return states.werner_spec(w)
-        if self.family == "custom-spec":
-            if self.custom_spec is None:
-                raise BellDiagError("custom-spec sweep needs target probabilities")
-            mixed = (1.0 - w) * 0.25 + w * self.custom_spec.probabilities
-            return states.BdsSpec(*mixed)
-        raise BellDiagError(f"unknown sweep family {self.family!r}")
+        mixed = (1.0 - w) * 0.25 + w * self.custom_spec.probabilities
+        return states.BdsSpec(*mixed)
 
 
 def _fmt(x: float) -> str:
@@ -172,7 +168,6 @@ def _sweep_rows(config: SweepConfig) -> list[str]:
 def cmd_sweep(args) -> int:
     noise_a, noise_p = _parse_noise(args.noise) if args.noise else (0.0, 0.0)
     config = SweepConfig(
-        family="custom-spec" if args.p else "werner",
         custom_spec=_parse_probs(args.p) if args.p else None,
         w_points=args.points,
         shots=args.shots,

@@ -33,10 +33,6 @@ class OutOfRangeError(BellDiagError):
     """Scalar parameter lies outside its documented range."""
 
 
-class NotNormalizedError(BellDiagError):
-    """State vector does not have unit norm."""
-
-
 class InvalidLayoutError(BellDiagError):
     """Qubit layout is not an injective map onto physical indices."""
 

@@ -34,6 +34,8 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if any(k.shape != (dim, dim) for k in ops):
             raise DimensionMismatchError("all Kraus operators must share one square shape")
+        if not all(np.all(np.isfinite(k)) for k in ops):
+            raise OutOfRangeError("Kraus operators must have finite entries")
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > COMPLETENESS_ATOL:

@@ -12,7 +12,7 @@ coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,18 +38,6 @@ PAULI_PRODUCTS = np.array([[np.kron(sj, sk) for sk in PAULIS] for sj in PAULIS])
 PAULI_PRODUCTS.setflags(write=False)
 
 
-class HermitianEigenResult(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors, so
-    ``V @ diag(w) @ V.conj().T`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_square(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,10 +51,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     a = _as_square(m)
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m†| = {defect:.3e}")
     return a
 
@@ -79,31 +67,20 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
-def hermitian_eigen(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    a = require_hermitian(m, atol)
-    w, v = np.linalg.eigh(a)
-    return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
-
-
-def trace_norm(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    a = require_hermitian(m, atol)
+    a = require_hermitian(m)
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
-def matrix_sqrt_psd(
-    m: np.ndarray,
-    atol: float = HERMITICITY_ATOL,
-    clip_floor: float = EIGENVALUE_CLIP_FLOOR,
-) -> np.ndarray:
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[clip_floor, 0)`` are treated as round-off and clipped
-    to zero; anything below ``clip_floor`` raises ``NegativeSpectrumError``.
+    Eigenvalues in ``[EIGENVALUE_CLIP_FLOOR, 0)`` are treated as round-off and
+    clipped to zero; anything lower raises ``NegativeSpectrumError``.
     """
-    w, v = hermitian_eigen(m, atol)
-    if w[0] < clip_floor:
+    w, v = np.linalg.eigh(require_hermitian(m))
+    if w[0] < EIGENVALUE_CLIP_FLOOR:
         raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
     s = np.sqrt(np.clip(w, 0.0, None))
     return (v * s) @ v.conj().T

@@ -90,8 +90,9 @@ class CorrelationMatrix:
             raise DimensionMismatchError(f"expected a 4x4 array, got {v.shape}")
         if v[0, 0] != 1.0:
             raise OutOfRangeError(f"c[0][0] must be exactly 1, got {v[0, 0]!r}")
-        if np.any(np.abs(v) > 1.0 + 1e-12):
-            raise OutOfRangeError("correlation entries must lie in [-1, 1]")
+        # Written as "not within" so that NaN, which fails every comparison, is rejected.
+        if not np.all(np.abs(v) <= 1.0 + 1e-12):
+            raise OutOfRangeError("correlation entries must be finite and lie in [-1, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

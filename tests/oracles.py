@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's reduced formulas: entropies come from
 full post-measurement matrices, partial traces are written out locally, and
-channels are applied through an explicit superoperator matrix. Agreement
-between these routes and the package is what the tests certify.
+channels are applied through an explicit superoperator matrix, and exported
+QASM is run by a small interpreter of its own. Agreement between these routes
+and the package is what the tests certify.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -100,3 +103,57 @@ def negativity_bruteforce(rho: np.ndarray) -> float:
                 for l in range(2):
                     pt[2 * i + j, 2 * k + l] = rho[2 * i + l, 2 * k + j]
     return max(0.0, float(np.sum(np.abs(np.linalg.eigvalsh(pt)))) - 1.0)
+
+
+def _qasm_angle(text: str) -> float:
+    """Value of a QASM angle: a float literal or ``[-][n*]pi[/d]``."""
+    if "pi" not in text:
+        return float(text)
+    sign = -1.0 if text.startswith("-") else 1.0
+    head, _, den = text.lstrip("-").partition("/")
+    num = head.replace("pi", "").rstrip("*") or "1"
+    return sign * float(num) * np.pi / float(den or 1)
+
+
+def qasm_reduced_state(text: str, keep: tuple[int, int]) -> np.ndarray:
+    """Run an OpenQASM 2.0 program of u3, h and cx gates from |0...0> and
+    return the reduced density matrix of the physical qubits ``keep``.
+
+    Each gate is applied as a full register operator: a Kronecker product
+    with identities for u3 and h, a basis permutation for cx. ``q[0]`` is the
+    most significant bit of the basis index.
+    """
+    n, psi = 0, None
+    for line in text.splitlines():
+        line = line.strip().rstrip(";")
+        if line.startswith(("OPENQASM", "include", "creg")):
+            continue
+        if line.startswith("qreg"):
+            n = int(re.fullmatch(r"qreg q\[(\d+)\]", line).group(1))
+            psi = np.zeros(2**n, dtype=complex)
+            psi[0] = 1.0
+            continue
+        name, params, args = re.fullmatch(r"(\w+)(?:\((.*)\))? (.*)", line).groups()
+        qubits = [int(q) for q in re.findall(r"q\[(\d+)\]", args)]
+        if name == "cx":
+            idx = np.arange(2**n)
+            control, target = (1 << (n - 1 - q) for q in qubits)
+            out = np.empty_like(psi)
+            out[np.where(idx & control, idx ^ target, idx)] = psi
+            psi = out
+            continue
+        if name == "h":
+            u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        elif name == "u3":
+            theta, phi, lam = (_qasm_angle(x) for x in params.split(","))
+            c, s = np.cos(theta / 2), np.sin(theta / 2)
+            u = np.array(
+                [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
+            )
+        else:
+            raise ValueError(f"unsupported QASM statement {line!r}")
+        (q,) = qubits
+        full = np.kron(np.kron(np.eye(2**q), u), np.eye(2 ** (n - 1 - q)))
+        psi = full @ psi
+    amps = np.moveaxis(psi.reshape((2,) * n), keep, (0, 1)).reshape(4, -1)
+    return amps @ amps.conj().T

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from helpers import random_product_spec, random_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import qasm_reduced_state
 
 import belldiag as bd
 from belldiag.circuit import (
@@ -13,7 +16,6 @@ from belldiag.circuit import (
 from belldiag.exceptions import (
     DimensionMismatchError,
     InvalidLayoutError,
-    NotNormalizedError,
     OutOfRangeError,
 )
 from belldiag.states import bell_state_vector
@@ -103,33 +105,11 @@ class TestAngles:
             np.testing.assert_allclose(back.probabilities, spec.probabilities, atol=1e-12)
 
 
-class TestBuildBdsCircuit:
-    def test_six_gates_in_order(self):
-        circ = bd.build_bds_circuit(bd.AnglePair(0.8, 0.4))
-        kinds = [g.kind for g in circ.gates]
-        targets = [g.targets for g in circ.gates]
-        assert kinds == ["r", "r", "cx", "cx", "h", "cx"]
-        assert targets == [(0,), (1,), (0, 2), (1, 3), (3,), (3, 2)]
-        assert circ.gates[0].params == (0.4,)
-        assert circ.gates[1].params == (0.2,)
-
-    def test_zero_angles_yield_bell_00(self):
-        psi = bd.simulate_statevector(bd.build_bds_circuit(bd.AnglePair(0, 0)))
-        expected = np.kron(np.eye(4)[0], bell_state_vector(0, 0))
-        assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pi_angles_yield_bell_11(self):
-        psi = bd.simulate_statevector(bd.build_bds_circuit(bd.AnglePair(np.pi, np.pi)))
-        expected = np.kron(np.eye(4)[3], bell_state_vector(1, 1))
-        assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestSimulator:
-    def test_empty_circuit(self, rng):
+    def test_empty_circuit(self):
         circ = Circuit(n_qubits=2, gates=())
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        np.testing.assert_allclose(bd.simulate_statevector(circ, v), v)
+        for basis in range(4):
+            np.testing.assert_array_equal(bd.simulate_statevector(circ, basis), np.eye(4)[basis])
 
     def test_hadamard(self):
         circ = Circuit(n_qubits=1, gates=(Gate("h", (), (0,)),))
@@ -144,10 +124,9 @@ class TestSimulator:
 
     def test_input_validation(self):
         circ = Circuit(n_qubits=2, gates=())
-        with pytest.raises(DimensionMismatchError):
-            bd.simulate_statevector(circ, np.ones(3) / np.sqrt(3))
-        with pytest.raises(NotNormalizedError):
-            bd.simulate_statevector(circ, np.ones(4))
+        for basis in (-1, 4):
+            with pytest.raises(DimensionMismatchError):
+                bd.simulate_statevector(circ, basis)
 
     def test_cnot_control_first_convention(self):
         # control on the higher index still acts as control
@@ -158,18 +137,32 @@ class TestSimulator:
         np.testing.assert_allclose(psi, expected, atol=1e-15)
 
 
+@st.composite
+def boundary_specs(draw) -> bd.BdsSpec:
+    """Specs on a face, edge or vertex of the simplex: one, two or three exact zeros."""
+    zeros = draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))
+    weights = [0.0 if i in zeros else draw(st.floats(1e-3, 1.0)) for i in range(4)]
+    return bd.BdsSpec(*(w / sum(weights) for w in weights))
+
+
 class TestPreparedState:
     def test_pure_and_mixed_anchors(self):
-        np.testing.assert_allclose(
-            bd.prepared_state(bd.BdsSpec(1, 0, 0, 0)).matrix,
-            bd.bell_state(0, 0).matrix,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            bd.prepared_state(bd.BdsSpec(0.25, 0.25, 0.25, 0.25)).matrix,
-            np.eye(4) / 4,
-            atol=1e-12,
-        )
+        for spec, want in [
+            (bd.BdsSpec(1, 0, 0, 0), bd.bell_state(0, 0).matrix),
+            (bd.BdsSpec(0, 0, 0, 1), bd.bell_state(1, 1).matrix),
+            (bd.BdsSpec(0.25, 0.25, 0.25, 0.25), np.eye(4) / 4),
+        ]:
+            np.testing.assert_allclose(bd.prepared_state(spec).matrix, want, atol=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(spec=boundary_specs())
+    def test_matches_constructor_on_simplex_boundary(self, spec):
+        got = bd.prepared_state(spec)
+        assert np.max(np.abs(got.matrix - bd.bds_from_spec(spec).matrix)) < 1e-10
+        p = spec.probabilities
+        if p[0] + p[1] == 0 or p[2] + p[3] == 0:
+            # An empty row takes the other row's angle, so b's rotation stays unconditional.
+            assert len(purification_circuit(spec).gates) == 6
 
     def test_werner_grid(self):
         for w in np.linspace(0, 1, 11):
@@ -208,20 +201,44 @@ class TestPreparedState:
     def test_product_specs_use_six_gates(self, rng):
         for _ in range(20):
             circ = purification_circuit(random_product_spec(rng))
-            assert len(circ.gates) == 6
+            assert [g.kind for g in circ.gates] == ["r", "r", "cx", "cx", "h", "cx"]
+            assert [g.targets for g in circ.gates] == [(0,), (1,), (0, 2), (1, 3), (2,), (2, 3)]
         assert len(purification_circuit(bd.werner_spec(0.5)).gates) == 9
 
 
 class TestQasm:
+    def test_exported_qasm_prepares_the_spec(self, rng):
+        # p01 != p10 in each named spec: two product-form ones, one that is not,
+        # and three with an empty row of the (j, k) table.
+        specs = [
+            bd.BdsSpec(0.42, 0.18, 0.28, 0.12),
+            bd.BdsSpec(0.6, 0.0, 0.4, 0.0),
+            bd.BdsSpec(0.1, 0.2, 0.3, 0.4),
+            bd.BdsSpec(0.0, 0.0, 0.3, 0.7),
+            bd.BdsSpec(0.0, 0.0, 1.0, 0.0),
+            bd.BdsSpec(0.5, 0.5, 0.0, 0.0),
+        ]
+        specs += [random_product_spec(rng) for _ in range(20)]
+        specs += [random_spec(rng) for _ in range(20)]
+        for spec in specs:
+            rho_cd = qasm_reduced_state(to_qasm(purification_circuit(spec)), keep=(2, 4))
+            assert np.max(np.abs(rho_cd - bd.bds_from_spec(spec).matrix)) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(spec=boundary_specs())
+    def test_exported_qasm_prepares_boundary_specs(self, spec):
+        rho_cd = qasm_reduced_state(to_qasm(purification_circuit(spec)), keep=(2, 4))
+        assert np.max(np.abs(rho_cd - bd.bds_from_spec(spec).matrix)) < 1e-10
+
     def test_header_and_u3(self):
-        circ = bd.build_bds_circuit(bd.AnglePair(np.pi, np.pi))
+        circ = purification_circuit(bd.BdsSpec(0, 0, 0, 1))
         text = to_qasm(circ)
         assert text.startswith('OPENQASM 2.0;\ninclude "qelib1.inc";')
         # R(pi/2) is emitted as the hardware u3(pi,0,0)
         assert "u3(pi,0,0) q[1];" in text
 
     def test_default_layout(self):
-        circ = bd.build_bds_circuit(bd.AnglePair(0.5, 0.5))
+        circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
         text = to_qasm(circ)
         assert "qreg q[5];" in text
         assert "cx q[1],q[2];" in text  # a->c under a:1, c:2
@@ -235,7 +252,7 @@ class TestQasm:
         assert text.count("h q[") == 1  # only the circuit's own H
 
     def test_y_measurement_prefix(self):
-        circ = bd.build_bds_circuit(bd.AnglePair(0.5, 0.5))
+        circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
         text = to_qasm(circ, measure_basis={"c": "Y"})
         lines = text.splitlines()
         idx = lines.index("measure q[2] -> c[0];")
@@ -248,7 +265,7 @@ class TestQasm:
         assert lines[-2:] == ["h q[0];", "measure q[0] -> c[0];"]
 
     def test_custom_layout_and_errors(self):
-        circ = bd.build_bds_circuit(bd.AnglePair(0.5, 0.5))
+        circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
         text = to_qasm(circ, layout={"a": 0, "b": 1, "c": 2, "d": 3})
         assert "qreg q[4];" in text
         with pytest.raises(InvalidLayoutError):

@@ -55,6 +55,13 @@ class TestCompositeDamping:
         with pytest.raises(OutOfRangeError):
             KrausChannel(operators=(np.eye(2, dtype=complex) * 0.5,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[1, 1] = bad
+        with pytest.raises(OutOfRangeError):
+            bd.apply_channel(KrausChannel(operators=(k,)), bd.werner(0.5), qubit=0)
+
 
 class TestApplyChannel:
     def test_werner_correlation_scaling(self):

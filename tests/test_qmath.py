@@ -78,27 +78,34 @@ class TestPauliCoefficients:
 
 
 class TestHermitianEigen:
+    """The Hermitian eigensolve behind ``trace_norm`` and ``matrix_sqrt_psd``."""
+
     def test_diagonal(self):
-        res = qmath.hermitian_eigen(np.diag([3.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 3.0])
+        m = np.diag([3.0, 1.0]).astype(complex)
+        assert qmath.trace_norm(m) == pytest.approx(4.0)
+        np.testing.assert_allclose(qmath.matrix_sqrt_psd(m), np.diag([np.sqrt(3.0), 1.0]), atol=1e-14)
 
     @pytest.mark.parametrize("sigma", [qmath.SIGMA_1, qmath.SIGMA_2])
     def test_pauli_spectrum(self, sigma):
-        res = qmath.hermitian_eigen(sigma)
-        np.testing.assert_allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        # Spectrum {-1, 1}: trace norm 2, and -1 is far below the clip floor.
+        assert qmath.trace_norm(sigma) == pytest.approx(2.0, abs=1e-14)
+        with pytest.raises(NegativeSpectrumError):
+            qmath.matrix_sqrt_psd(sigma)
 
     def test_reconstruction_and_unitarity(self, rng):
+        # sqrt(h^2) = V |w| V† for h = V w V†, so its trace is the trace norm of h.
         for _ in range(1000):
             dim = int(rng.integers(2, 17))
-            m = random_hermitian(rng, dim)
-            w, v = qmath.hermitian_eigen(m)
-            np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-10)
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
-            assert np.all(np.diff(w) >= -1e-12)
+            h = random_hermitian(rng, dim)
+            root = qmath.matrix_sqrt_psd(h @ h)
+            np.testing.assert_allclose(root @ root, h @ h, atol=1e-9)
+            assert qmath.hermiticity_defect(root) < 1e-10
+            assert np.trace(root).real == pytest.approx(qmath.trace_norm(h), rel=1e-10)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            qmath.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        for f in (qmath.matrix_sqrt_psd, qmath.trace_norm):
+            with pytest.raises(NotHermitianError):
+                f(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestTraceNorm:

@@ -138,6 +138,13 @@ class TestReconstruct:
         with pytest.raises(OutOfRangeError):
             CorrelationMatrix(c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        c = np.eye(4)
+        c[1, 2] = bad
+        with pytest.raises(OutOfRangeError):
+            bd.reconstruct(CorrelationMatrix(c))
+
     def test_round_trip_on_random_states(self, rng):
         for _ in range(100):
             rho = ginibre_state(rng)
