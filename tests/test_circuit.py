@@ -105,6 +105,29 @@ class TestAngles:
             np.testing.assert_allclose(back.probabilities, spec.probabilities, atol=1e-12)
 
 
+class TestBuildBdsCircuit:
+    """The preparation circuit on the product-form specs that an angle pair names."""
+
+    def test_six_gates_in_order(self):
+        circ = purification_circuit(bd.probs_from_angles(bd.AnglePair(0.8, 0.4)))
+        assert [g.kind for g in circ.gates] == ["r", "r", "cx", "cx", "h", "cx"]
+        assert [g.targets for g in circ.gates] == [(0,), (1,), (0, 2), (1, 3), (2,), (2, 3)]
+        assert circ.gates[0].params[0] == pytest.approx(0.4, abs=1e-12)
+        assert circ.gates[1].params[0] == pytest.approx(0.2, abs=1e-12)
+
+    def test_zero_angles_yield_bell_00(self):
+        spec = bd.probs_from_angles(bd.AnglePair(0, 0))
+        psi = bd.simulate_statevector(purification_circuit(spec))
+        expected = np.kron(np.eye(4)[0], bell_state_vector(0, 0))
+        assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pi_angles_yield_bell_11(self):
+        spec = bd.probs_from_angles(bd.AnglePair(np.pi, np.pi))
+        psi = bd.simulate_statevector(purification_circuit(spec))
+        expected = np.kron(np.eye(4)[3], bell_state_vector(1, 1))
+        assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSimulator:
     def test_empty_circuit(self):
         circ = Circuit(n_qubits=2, gates=())
