@@ -1,12 +1,9 @@
 """Bell-diagonal two-qubit states: preparation, tomography, noise, measures."""
 
 from .circuit import (
-    AnglePair,
     Circuit,
     Gate,
-    angles_from_spec,
     prepared_state,
-    probs_from_angles,
     purification_circuit,
     simulate_statevector,
     to_qasm,
@@ -27,15 +24,12 @@ from .measures import (
 from .noise import KrausChannel, apply_channel, composite_damping, decohered_werner_sweep
 from .states import (
     BdsSpec,
-    CorrelationTriple,
     DensityMatrix,
     bds_from_spec,
     bell_state,
-    correlations_from_spec,
     density_matrix_from_json,
     density_matrix_to_json,
     fidelity,
-    spec_from_correlations,
     werner,
     werner_spec,
 )

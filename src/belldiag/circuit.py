@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -39,13 +39,6 @@ DEFAULT_PREP_LAYOUT = {0: 1, 1: 3, 2: 2, 3: 4}
 # A row of the (j, k) probability table with no more mass than this is empty,
 # and a conditional-angle difference no larger than this is zero.
 PREP_ATOL = 1e-14
-
-
-class AnglePair(NamedTuple):
-    """Rotation angles (theta, alpha) steering the two superposition gates."""
-
-    theta: float
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -101,30 +94,10 @@ class Circuit:
         if len(self.qubit_names) != self.n_qubits:
             raise DimensionMismatchError("qubit_names length must equal n_qubits")
         for g in self.gates:
-            if any(t >= self.n_qubits for t in g.targets):
+            if any(not 0 <= t < self.n_qubits for t in g.targets):
                 raise DimensionMismatchError(
-                    f"gate {g.kind} targets {g.targets} exceed register size {self.n_qubits}"
+                    f"gate {g.kind} targets {g.targets} outside a {self.n_qubits}-qubit register"
                 )
-
-
-def angles_from_spec(spec: BdsSpec) -> AnglePair:
-    """Rotation angles 2*arccos(sqrt(p00+p01)) and 2*arccos(sqrt(p00+p10))."""
-    p = spec.probabilities
-    # Guard round-off: the marginals may exceed 1 by ~1e-16.
-    theta = 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, p[0] + p[1]))))
-    alpha = 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, p[0] + p[2]))))
-    return AnglePair(theta=theta, alpha=alpha)
-
-
-def probs_from_angles(angles: AnglePair) -> BdsSpec:
-    """Product-form Bell probabilities generated by rotation angles (theta, alpha)."""
-    ct2 = math.cos(angles.theta / 2) ** 2
-    ca2 = math.cos(angles.alpha / 2) ** 2
-    p = np.array(
-        [ct2 * ca2, ct2 * (1 - ca2), (1 - ct2) * ca2, (1 - ct2) * (1 - ca2)]
-    )
-    p = np.clip(p, 0.0, None)
-    return BdsSpec(*(p / np.sum(p)))
 
 
 def purification_circuit(spec: BdsSpec) -> Circuit:
@@ -246,7 +219,10 @@ def to_qasm(
             if key not in circ.qubit_names:
                 raise InvalidLayoutError(f"unknown qubit name {key!r}")
             return circ.qubit_names.index(key)
-        return int(key)
+        index = int(key)
+        if not 0 <= index < circ.n_qubits:
+            raise InvalidLayoutError(f"logical qubit {index} is not in the register")
+        return index
 
     if layout is None:
         if circ.n_qubits == 4 and circ.qubit_names == PREP_QUBIT_NAMES:

@@ -113,14 +113,13 @@ def cmd_prepare(args) -> int:
         spec = states.werner_spec(args.werner)
     else:
         spec = _parse_probs(args.p)
-    angles = circuit_mod.angles_from_spec(spec)
     circ = circuit_mod.purification_circuit(spec)
     rho = circuit_mod.prepared_state(spec)
     layout = _parse_layout(args.layout) if args.layout else None
     qasm = circuit_mod.to_qasm(circ, layout=layout) if args.qasm else None
     doc = {
-        "theta": angles.theta,
-        "alpha": angles.alpha,
+        # The first gate is R(theta/2) on qubit a.
+        "theta": 2 * circ.gates[0].params[0],
         "probabilities": spec.probabilities.tolist(),
         "circuit": json.loads(circuit_mod.circuit_to_json(circ)),
         "state": json.loads(states.density_matrix_to_json(rho)),

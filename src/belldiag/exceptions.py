@@ -25,10 +25,6 @@ class InvalidProbabilitiesError(BellDiagError):
     """Probabilities are out of [0, 1] or do not sum to one."""
 
 
-class UnphysicalCorrelationsError(BellDiagError):
-    """Correlation triple maps to a negative Bell-basis probability."""
-
-
 class OutOfRangeError(BellDiagError):
     """Scalar parameter lies outside its documented range."""
 

@@ -21,7 +21,6 @@ from .exceptions import (
     InvalidProbabilitiesError,
     NotAStateError,
     OutOfRangeError,
-    UnphysicalCorrelationsError,
 )
 
 PROBABILITY_ATOL = 1e-12
@@ -52,27 +51,6 @@ class BdsSpec:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([self.p00, self.p01, self.p10, self.p11], dtype=float)
-
-
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """Diagonal correlation functions (c1, c2, c3) of a normal-form state."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_tuple())):
-            raise OutOfRangeError(f"correlations must be finite: {self.as_tuple()}")
-        p = bell_probabilities_from_correlations(self.c1, self.c2, self.c3)
-        if np.min(p) < -PROBABILITY_ATOL:
-            raise UnphysicalCorrelationsError(
-                f"correlations {self.as_tuple()} give negative Bell probability {np.min(p):.3e}"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
 
 
 class DensityMatrix:
@@ -142,32 +120,6 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
     return DensityMatrix(rho, validate=False)
 
 
-def bell_probabilities_from_correlations(c1: float, c2: float, c3: float) -> np.ndarray:
-    """Bell-basis probabilities of the normal-form state with diagonal correlations."""
-    signs = [
-        ((-1) ** j, (-1) ** (j + k - 1), (-1) ** k) for j, k in BELL_INDICES
-    ]
-    return np.array([(1 + s1 * c1 + s2 * c2 + s3 * c3) / 4 for s1, s2, s3 in signs])
-
-
-def spec_from_correlations(c: CorrelationTriple) -> BdsSpec:
-    """Convert diagonal correlations to Bell-basis probabilities."""
-    p = bell_probabilities_from_correlations(c.c1, c.c2, c.c3)
-    p = np.clip(p, 0.0, None)
-    p = p / np.sum(p)
-    return BdsSpec(*p)
-
-
-def correlations_from_spec(spec: BdsSpec) -> CorrelationTriple:
-    """Diagonal correlations ``c_j = Tr(rho sigma_j x sigma_j)`` of a spec."""
-    p00, p01, p10, p11 = spec.probabilities
-    return CorrelationTriple(
-        c1=p00 + p01 - p10 - p11,
-        c2=-p00 + p01 + p10 - p11,
-        c3=p00 - p01 + p10 - p11,
-    )
-
-
 def werner_spec(w: float) -> BdsSpec:
     """Bell-basis probabilities of the Werner state of weight ``w``."""
     if not 0.0 <= w <= 1.0:
@@ -178,11 +130,7 @@ def werner_spec(w: float) -> BdsSpec:
 
 def werner(w: float) -> DensityMatrix:
     """Werner state ``(1-w) I/4 + w |b11><b11|``."""
-    if not 0.0 <= w <= 1.0:
-        raise OutOfRangeError(f"Werner weight must be in [0, 1], got {w}")
-    v = bell_state_vector(1, 1)
-    rho = (1.0 - w) * np.eye(4, dtype=complex) / 4.0 + w * np.outer(v, v.conj())
-    return DensityMatrix(rho, validate=False)
+    return bds_from_spec(werner_spec(w))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import belldiag as bd
@@ -35,7 +37,15 @@ def random_spec(rng: np.random.Generator) -> bd.BdsSpec:
     return bd.BdsSpec(*rng.dirichlet(np.ones(4)))
 
 
+def product_spec(theta: float, alpha: float) -> bd.BdsSpec:
+    """Product-form spec with j-marginal cos^2(theta/2) and k-marginal cos^2(alpha/2)."""
+    ct2 = math.cos(theta / 2) ** 2
+    ca2 = math.cos(alpha / 2) ** 2
+    p = np.array([ct2 * ca2, ct2 * (1 - ca2), (1 - ct2) * ca2, (1 - ct2) * (1 - ca2)])
+    p = np.clip(p, 0.0, None)
+    return bd.BdsSpec(*(p / np.sum(p)))
+
+
 def random_product_spec(rng: np.random.Generator) -> bd.BdsSpec:
     """Spec whose probability table factorizes over the two Bell indices."""
-    angles = bd.AnglePair(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-    return bd.probs_from_angles(angles)
+    return product_spec(rng.uniform(0, np.pi), rng.uniform(0, np.pi))

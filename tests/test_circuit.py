@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from helpers import random_product_spec, random_spec
+from helpers import product_spec, random_product_spec, random_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import qasm_reduced_state
 
 import belldiag as bd
+from belldiag import qmath
 from belldiag.circuit import (
     Circuit,
     Gate,
@@ -58,50 +59,66 @@ class TestGates:
             Gate("cx", (), (1, 1))
         with pytest.raises(DimensionMismatchError):
             Circuit(n_qubits=1, gates=(Gate("h", (), (3,)),))
+        for gate in (Gate("h", (), (-1,)), Gate("cx", (), (-1, 1))):
+            with pytest.raises(DimensionMismatchError):
+                Circuit(n_qubits=2, gates=(gate,))
+
+
+def rotation_angles(spec: bd.BdsSpec) -> tuple[float, float]:
+    """Twice the angles of the first two gates: theta on qubit a, then the first rotation of b."""
+    gates = purification_circuit(spec).gates
+    return 2 * gates[0].params[0], 2 * gates[1].params[0]
 
 
 class TestAngles:
+    """The rotation angles that the preparation circuit puts on qubits a and b."""
+
     def test_examples(self):
-        assert bd.angles_from_spec(bd.BdsSpec(1, 0, 0, 0)) == pytest.approx((0.0, 0.0))
-        assert bd.angles_from_spec(bd.BdsSpec(0, 0, 0, 1)) == pytest.approx((np.pi, np.pi))
-        assert bd.angles_from_spec(bd.BdsSpec(0.25, 0.25, 0.25, 0.25)) == pytest.approx(
+        assert rotation_angles(bd.BdsSpec(1, 0, 0, 0)) == pytest.approx((0.0, 0.0))
+        assert rotation_angles(bd.BdsSpec(0, 0, 0, 1)) == pytest.approx((np.pi, np.pi))
+        assert rotation_angles(bd.BdsSpec(0.25, 0.25, 0.25, 0.25)) == pytest.approx(
             (np.pi / 2, np.pi / 2)
         )
 
     def test_probs_from_angles_examples(self):
-        np.testing.assert_allclose(
-            bd.probs_from_angles(bd.AnglePair(0, 0)).probabilities, [1, 0, 0, 0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            bd.probs_from_angles(bd.AnglePair(np.pi / 2, 0)).probabilities,
-            [0.5, 0, 0.5, 0],
-            atol=1e-15,
-        )
-        np.testing.assert_allclose(
-            bd.probs_from_angles(bd.AnglePair(np.pi / 2, np.pi / 2)).probabilities,
-            [0.25] * 4,
-            atol=1e-15,
-        )
+        # Six gates with R(theta/2) on a and R(alpha/2) on b prepare product_spec(theta, alpha).
+        for (theta, alpha), want in [
+            ((0, 0), [1, 0, 0, 0]),
+            ((np.pi / 2, 0), [0.5, 0, 0.5, 0]),
+            ((np.pi / 2, np.pi / 2), [0.25] * 4),
+        ]:
+            spec = product_spec(theta, alpha)
+            np.testing.assert_allclose(spec.probabilities, want, atol=1e-15)
+            gates = (
+                Gate("r", (theta / 2,), (0,)),
+                Gate("r", (alpha / 2,), (1,)),
+                Gate("cx", (), (0, 2)),
+                Gate("cx", (), (1, 3)),
+                Gate("h", (), (2,)),
+                Gate("cx", (), (2, 3)),
+            )
+            psi = bd.simulate_statevector(Circuit(4, gates))
+            rho_cd = qmath.partial_trace(np.outer(psi, psi.conj()), [2] * 4, keep=(2, 3))
+            np.testing.assert_allclose(rho_cd, bd.bds_from_spec(spec).matrix, atol=1e-15)
 
     def test_angles_round_trip_from_angles(self, rng):
         for _ in range(100):
-            angles = bd.AnglePair(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-            back = bd.angles_from_spec(bd.probs_from_angles(angles))
-            assert back.theta == pytest.approx(angles.theta, abs=1e-9)
-            assert back.alpha == pytest.approx(angles.alpha, abs=1e-9)
+            theta, alpha = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
+            back = rotation_angles(product_spec(theta, alpha))
+            assert back == pytest.approx((theta, alpha), abs=1e-9)
 
     def test_angles_stay_in_range(self, rng):
         for _ in range(100):
-            angles = bd.angles_from_spec(random_spec(rng))
-            assert 0.0 <= angles.theta <= np.pi
-            assert 0.0 <= angles.alpha <= np.pi
+            gates = purification_circuit(random_spec(rng)).gates
+            assert 0.0 <= 2 * gates[0].params[0] <= np.pi
+            assert all(abs(g.params[0]) <= np.pi / 2 for g in gates if g.kind == "r")
 
     def test_probs_round_trip_on_product_specs(self, rng):
-        # The two angles parametrize exactly the product-form specs, so the
-        # inverse composition is the identity on that family.
+        # The two rotations parametrize exactly the product-form specs, so the
+        # angles read off the circuit give back the spec.
         for _ in range(100):
             spec = random_product_spec(rng)
-            back = bd.probs_from_angles(bd.angles_from_spec(spec))
+            back = product_spec(*rotation_angles(spec))
             np.testing.assert_allclose(back.probabilities, spec.probabilities, atol=1e-12)
 
 
@@ -109,20 +126,20 @@ class TestBuildBdsCircuit:
     """The preparation circuit on the product-form specs that an angle pair names."""
 
     def test_six_gates_in_order(self):
-        circ = purification_circuit(bd.probs_from_angles(bd.AnglePair(0.8, 0.4)))
+        circ = purification_circuit(product_spec(0.8, 0.4))
         assert [g.kind for g in circ.gates] == ["r", "r", "cx", "cx", "h", "cx"]
         assert [g.targets for g in circ.gates] == [(0,), (1,), (0, 2), (1, 3), (2,), (2, 3)]
         assert circ.gates[0].params[0] == pytest.approx(0.4, abs=1e-12)
         assert circ.gates[1].params[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_zero_angles_yield_bell_00(self):
-        spec = bd.probs_from_angles(bd.AnglePair(0, 0))
+        spec = product_spec(0, 0)
         psi = bd.simulate_statevector(purification_circuit(spec))
         expected = np.kron(np.eye(4)[0], bell_state_vector(0, 0))
         assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pi_angles_yield_bell_11(self):
-        spec = bd.probs_from_angles(bd.AnglePair(np.pi, np.pi))
+        spec = product_spec(np.pi, np.pi)
         psi = bd.simulate_statevector(purification_circuit(spec))
         expected = np.kron(np.eye(4)[3], bell_state_vector(1, 1))
         assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
@@ -211,8 +228,6 @@ class TestPreparedState:
             np.testing.assert_allclose(np.diag(in_bell).real, spec.probabilities, atol=1e-10)
 
     def test_purification_marginal_is_diagonal(self, rng):
-        from belldiag import qmath
-
         for _ in range(50):
             spec = random_spec(rng)
             psi = bd.simulate_statevector(purification_circuit(spec))
@@ -297,6 +312,12 @@ class TestQasm:
             to_qasm(circ, layout={"a": 0})
         with pytest.raises(InvalidLayoutError):
             to_qasm(circ, layout={"z": 0, "b": 1, "c": 2, "d": 3})
+        # Integer keys must name a qubit of the register.
+        with pytest.raises(InvalidLayoutError):
+            to_qasm(circ, layout={0: 1, 1: 3, 2: 2, 3: 4, 9: 0})
+        for key in (9, -1):
+            with pytest.raises(InvalidLayoutError):
+                to_qasm(circ, measure_basis={key: "Z"})
 
     def test_angle_formatting(self):
         assert _format_angle(np.pi) == "pi"

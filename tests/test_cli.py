@@ -46,14 +46,14 @@ class TestPrepare:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["theta"] == pytest.approx(math.pi)
-        assert doc["alpha"] == pytest.approx(math.pi)
+        assert "alpha" not in doc
 
     def test_uniform_probabilities(self, capsys):
         code, out, _ = run(capsys, "prepare", "--p", "0.25,0.25,0.25,0.25")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["theta"] == pytest.approx(math.pi / 2)
-        assert doc["alpha"] == pytest.approx(math.pi / 2)
+        assert "alpha" not in doc
         np.testing.assert_allclose(np.array(doc["state"]["re"]), np.eye(4) / 4, atol=1e-12)
         np.testing.assert_allclose(np.array(doc["state"]["im"]), 0, atol=1e-12)
 

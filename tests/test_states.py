@@ -9,9 +9,9 @@ from belldiag.exceptions import (
     InvalidProbabilitiesError,
     NotAStateError,
     OutOfRangeError,
-    UnphysicalCorrelationsError,
 )
 from belldiag.states import (
+    BELL_INDICES,
     bell_state_vector,
     density_matrix_from_json,
     density_matrix_to_json,
@@ -77,42 +77,54 @@ class TestBdsSpec:
                 bd.BdsSpec(bad, 0, 0, 1)
 
 
+def correlation_diagonal(rho: bd.DensityMatrix) -> np.ndarray:
+    """Diagonal of the Pauli coefficients, checking that the off-diagonal ones vanish."""
+    c = qmath.pauli_coefficients(rho.matrix)
+    np.testing.assert_allclose(c - np.diag(np.diag(c)), 0, atol=1e-14)
+    return np.diag(c)
+
+
 class TestCorrelations:
+    """The correlation triple ``(c_11, c_22, c_33)`` of a spec, read off the Pauli core."""
+
     def test_zero_triple_is_uniform(self):
-        spec = bd.spec_from_correlations(bd.CorrelationTriple(0, 0, 0))
-        np.testing.assert_allclose(spec.probabilities, [0.25] * 4, atol=1e-14)
+        c = correlation_diagonal(bd.bds_from_spec(bd.BdsSpec(0.25, 0.25, 0.25, 0.25)))
+        np.testing.assert_allclose(c, [1, 0, 0, 0], atol=1e-14)
 
     def test_werner_triple(self):
         for w in (0.2, 0.7):
-            spec = bd.spec_from_correlations(bd.CorrelationTriple(-w, -w, -w))
-            np.testing.assert_allclose(spec.probabilities, bd.werner_spec(w).probabilities, atol=1e-14)
+            c = correlation_diagonal(bd.bds_from_spec(bd.werner_spec(w)))
+            np.testing.assert_allclose(c, [1, -w, -w, -w], atol=1e-14)
 
     def test_pure_triple(self):
-        spec = bd.spec_from_correlations(bd.CorrelationTriple(1, -1, 1))
-        np.testing.assert_allclose(spec.probabilities, [1, 0, 0, 0], atol=1e-14)
+        # The four Bell states are the vertices of the tetrahedron of triples.
+        triples = [(1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1)]
+        for (j, k), triple in zip(BELL_INDICES, triples):
+            c = correlation_diagonal(bd.bell_state(j, k))
+            np.testing.assert_allclose(c, (1, *triple), atol=1e-14)
 
     def test_unphysical_triple(self):
-        with pytest.raises(UnphysicalCorrelationsError):
-            bd.CorrelationTriple(1, 1, 1)
-
-    def test_rejects_non_finite_triple(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(OutOfRangeError, match="finite"):
-                bd.CorrelationTriple(bad, 0, 0)
+        # (1, 1, 1) lies outside the tetrahedron: its Pauli expansion is not a state.
+        with pytest.raises(NotAStateError, match="eigenvalue"):
+            bd.DensityMatrix(qmath.from_pauli_coefficients(np.diag([1.0, 1.0, 1.0, 1.0])))
 
     def test_round_trip(self, rng):
         for _ in range(50):
-            spec = random_spec(rng)
-            back = bd.spec_from_correlations(bd.correlations_from_spec(spec))
-            np.testing.assert_allclose(back.probabilities, spec.probabilities, atol=1e-12)
+            rho = bd.bds_from_spec(random_spec(rng))
+            c = correlation_diagonal(rho)
+            back = bd.DensityMatrix(qmath.from_pauli_coefficients(np.diag(c)))
+            np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-14)
 
     def test_matches_pauli_expectations(self, rng):
         for _ in range(20):
             spec = random_spec(rng)
-            rho = bd.bds_from_spec(spec).matrix
-            c = bd.correlations_from_spec(spec)
-            for value, sigma in zip(c.as_tuple(), qmath.PAULIS[1:]):
-                direct = float(np.trace(rho @ np.kron(sigma, sigma)).real)
+            p00, p01, p10, p11 = spec.probabilities
+            rho = bd.bds_from_spec(spec)
+            c = correlation_diagonal(rho)
+            want = (1, p00 + p01 - p10 - p11, -p00 + p01 + p10 - p11, p00 - p01 + p10 - p11)
+            np.testing.assert_allclose(c, want, atol=1e-14)
+            for value, sigma in zip(c[1:], qmath.PAULIS[1:]):
+                direct = float(np.trace(rho.matrix @ np.kron(sigma, sigma)).real)
                 assert value == pytest.approx(direct, abs=1e-12)
 
 
@@ -122,8 +134,8 @@ class TestWerner:
         np.testing.assert_allclose(bd.werner(1.0).matrix, bd.bell_state(1, 1).matrix, atol=1e-14)
 
     def test_half_correlations(self):
-        c = bd.correlations_from_spec(bd.werner_spec(0.5))
-        np.testing.assert_allclose(c.as_tuple(), (-0.5, -0.5, -0.5), atol=1e-14)
+        c = correlation_diagonal(bd.werner(0.5))
+        np.testing.assert_allclose(c, [1, -0.5, -0.5, -0.5], atol=1e-14)
 
     def test_rejects_out_of_range(self):
         for w in (-0.1, 1.1):
