@@ -56,8 +56,15 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        try:
+            params = tuple(float(p) for p in self.params)
+            targets = tuple(operator.index(t) for t in self.targets)
+        except (TypeError, ValueError):
+            raise OutOfRangeError(f"bad gate params {self.params} or targets {self.targets}") from None
+        if not all(math.isfinite(p) for p in params):
+            raise OutOfRangeError(f"gate parameters must be finite, got {params}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "targets", targets)
         n_params = 1 if self.kind == "r" else 0
         if len(self.params) != n_params:
             raise OutOfRangeError(f"{self.kind} takes {n_params} parameter(s)")
@@ -93,6 +100,8 @@ class Circuit:
             )
         if len(self.qubit_names) != self.n_qubits:
             raise DimensionMismatchError("qubit_names length must equal n_qubits")
+        if len(set(self.qubit_names)) != self.n_qubits:
+            raise InvalidLayoutError(f"qubit_names must be distinct, got {self.qubit_names}")
         for g in self.gates:
             if any(not 0 <= t < self.n_qubits for t in g.targets):
                 raise DimensionMismatchError(

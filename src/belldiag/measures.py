@@ -83,11 +83,13 @@ def coherence_l1(rho: DensityMatrix) -> float:
 
 
 def nonlocal_coherence(rho: DensityMatrix) -> float:
-    """Global l1 coherence minus the sum of the marginal coherences."""
-    if rho.n_qubits != 2:
-        raise DimensionMismatchError("nonlocal coherence is defined for two qubits")
-    local = coherence_l1(rho.reduced((0,))) + coherence_l1(rho.reduced((1,)))
-    return coherence_l1(rho) - local
+    """Global l1 coherence minus the sum of the marginal coherences.
+
+    A qubit with Bloch vector r has l1 coherence ``|r_x - i r_y|``, so the
+    marginal coherences are read off the Pauli coefficients.
+    """
+    c = qmath.pauli_coefficients(rho.matrix)
+    return coherence_l1(rho) - math.hypot(c[1, 0], c[2, 0]) - math.hypot(c[0, 1], c[0, 2])
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
@@ -107,8 +109,10 @@ def correlation_vector(corr: np.ndarray) -> np.ndarray:
 
 
 def negativity(rho: DensityMatrix) -> float:
-    """Trace norm of the partial transpose minus one, clamped at zero."""
-    pt = qmath.partial_transpose(rho.matrix, (2, 2), "b")
+    """Trace norm of the partial transpose on qubit b minus one, clamped at zero."""
+    if rho.n_qubits != 2:
+        raise DimensionMismatchError("negativity is defined for two qubits")
+    pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     return max(0.0, _clamp_roundoff(qmath.trace_norm(pt) - 1.0))
 
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
 from .measures import ResourceReport, full_report
 from .states import DensityMatrix, werner
@@ -65,13 +64,12 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> 
         raise DimensionMismatchError("apply_channel embeds single-qubit channels only")
     if not 0 <= qubit < rho.n_qubits:
         raise DimensionMismatchError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
-    before = np.eye(2**qubit, dtype=complex)
-    after = np.eye(2 ** (rho.n_qubits - qubit - 1), dtype=complex)
-    out = np.zeros_like(rho.matrix)
-    for k in channel.operators:
-        full = qmath.kron_all([before, k, after])
-        out += full @ rho.matrix @ full.conj().T
-    return DensityMatrix(out, validate=False)
+    # Row and column index split as (qubits before, qubit, qubits after).
+    split = (2**qubit, 2, 2 ** (rho.n_qubits - qubit - 1))
+    t = rho.matrix.reshape(split + split)
+    ops = np.array(channel.operators)
+    out = np.einsum("kai,xiyzjw,kbj->xayzbw", ops, t, ops.conj())
+    return DensityMatrix(out.reshape(rho.matrix.shape), validate=False)
 
 
 def decohered_werner_sweep(

@@ -59,14 +59,6 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Tensor product of a sequence of square matrices, left to right."""
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, _as_square(f))
-    return out
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
     a = require_hermitian(m)
@@ -112,22 +104,6 @@ def partial_trace(
         traced += 1
     d_keep = int(np.prod([dims[i] for i in sorted(keep_set)]))
     return t.reshape(d_keep, d_keep)
-
-
-def partial_transpose(m: np.ndarray, dims: tuple[int, int], subsystem: str = "b") -> np.ndarray:
-    """Partial transpose of a bipartite operator over subsystem ``"a"`` or ``"b"``."""
-    a = _as_square(m)
-    da, db = int(dims[0]), int(dims[1])
-    if da * db != a.shape[0]:
-        raise DimensionMismatchError(f"dims {dims} do not match matrix dim {a.shape[0]}")
-    if subsystem not in ("a", "b"):
-        raise DimensionMismatchError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
-    t = a.reshape(da, db, da, db)
-    if subsystem == "a":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(da * db, da * db)
 
 
 def pauli_coefficients(m: np.ndarray) -> np.ndarray:

@@ -89,11 +89,6 @@ class DensityMatrix:
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits})"
 
-    def reduced(self, keep: tuple[int, ...]) -> "DensityMatrix":
-        """Reduced state on the kept qubits (in their original order)."""
-        sub = qmath.partial_trace(self.matrix, [2] * self.n_qubits, keep)
-        return DensityMatrix(sub, validate=False)
-
 
 def bell_state_vector(j: int, k: int) -> np.ndarray:
     """Amplitude vector of the Bell state ``|b_jk>``."""

@@ -71,12 +71,6 @@ class TomographyCounts:
                     f"expected {self.shots_per_setting}"
                 )
 
-    def frequencies(self) -> dict[MeasurementSetting, np.ndarray]:
-        return {
-            s: np.asarray(self.counts[s], dtype=float) / self.shots_per_setting
-            for s in SETTINGS
-        }
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -141,23 +135,17 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
 
 def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
     """Empirical correlation matrix from measured counts."""
-    freqs = counts.frequencies()
+    # n[j - 1, k - 1] holds the outcome counts of setting (sigma_j, sigma_k). Signed
+    # sums of counts are exact integers, so each estimate is rounded once, at the division.
+    n = np.array([counts.counts[s] for s in SETTINGS], dtype=float).reshape(3, 3, 4)
+    shots = counts.shots_per_setting
     c = np.zeros((4, 4), dtype=float)
     c[0, 0] = 1.0
-    marg_a = {b: [] for b in BASES}
-    marg_b = {b: [] for b in BASES}
-    for setting in SETTINGS:
-        pp, pm, mp, mm = freqs[setting]
-        j = _BASIS_INDEX[setting.basis_a]
-        k = _BASIS_INDEX[setting.basis_b]
-        c[j, k] = pp + mm - pm - mp
-        marg_a[setting.basis_a].append((pp + pm) - (mp + mm))
-        marg_b[setting.basis_b].append((pp + mp) - (pm + mm))
-    # The single-qubit averages are measured by three compatible settings
-    # each; use their mean to reduce variance.
-    for basis in BASES:
-        c[_BASIS_INDEX[basis], 0] = float(np.mean(marg_a[basis]))
-        c[0, _BASIS_INDEX[basis]] = float(np.mean(marg_b[basis]))
+    c[1:, 1:] = (n @ (_SIGNS_A * _SIGNS_B)) / shots
+    # Each single-qubit average is measured by three compatible settings;
+    # use their mean to reduce variance.
+    c[1:, 0] = np.sum(n @ _SIGNS_A, axis=1) / (3 * shots)
+    c[0, 1:] = np.sum(n @ _SIGNS_B, axis=0) / (3 * shots)
     return CorrelationMatrix(np.clip(c, -1.0, 1.0))
 
 

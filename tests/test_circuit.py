@@ -62,6 +62,14 @@ class TestGates:
         for gate in (Gate("h", (), (-1,)), Gate("cx", (), (-1, 1))):
             with pytest.raises(DimensionMismatchError):
                 Circuit(n_qubits=2, gates=(gate,))
+        # A non-finite or non-numeric angle and a non-integer target are rejected, not simulated.
+        for bad in (np.nan, np.inf, -np.inf, "x", None):
+            with pytest.raises(OutOfRangeError):
+                Gate("r", (bad,), (0,))
+        for targets in ((1.7,), (1.0,), ("1",)):
+            with pytest.raises(OutOfRangeError):
+                Gate("h", (), targets)
+        assert Gate("cx", (), (np.int64(1), 0)).targets == (1, 0)
 
 
 def rotation_angles(spec: bd.BdsSpec) -> tuple[float, float]:
@@ -318,6 +326,11 @@ class TestQasm:
         for key in (9, -1):
             with pytest.raises(InvalidLayoutError):
                 to_qasm(circ, measure_basis={key: "Z"})
+
+    def test_repeated_qubit_names_rejected(self):
+        # With a repeated name, no name reaches the second of the two qubits.
+        with pytest.raises(InvalidLayoutError, match="distinct"):
+            Circuit(n_qubits=4, gates=(), qubit_names=("a", "a", "c", "d"))
 
     def test_angle_formatting(self):
         assert _format_angle(np.pi) == "pi"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from oracles import discord_grid_oracle, negativity_bruteforce
 
 import belldiag as bd
-from belldiag.exceptions import BellDiagError, OptimizerFailureError
+from belldiag import qmath
+from belldiag.exceptions import BellDiagError, DimensionMismatchError, OptimizerFailureError
 from belldiag.measures import mutual_information
 
 SQRT2 = math.sqrt(2.0)
@@ -47,6 +48,16 @@ class TestNonlocalCoherence:
     def test_werner(self):
         for w in (0.0, 0.4, 1.0):
             assert bd.nonlocal_coherence(bd.werner(w)) == pytest.approx(w, abs=1e-12)
+
+    def test_matches_marginal_route(self, rng):
+        # The l1 coherence of each one-qubit marginal, summed over its off-diagonal entries.
+        for _ in range(50):
+            rho = ginibre_state(rng)
+            local = sum(
+                2 * abs(qmath.partial_trace(rho.matrix, [2, 2], keep=(q,))[0, 1]) for q in (0, 1)
+            )
+            want = bd.coherence_l1(rho) - local
+            assert bd.nonlocal_coherence(rho) == pytest.approx(want, abs=1e-14)
 
     def test_coherent_product_cancels(self):
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -117,6 +128,11 @@ class TestNegativity:
                 negativity_bruteforce(rho.matrix), abs=1e-10
             )
 
+    def test_rejects_other_qubit_counts(self):
+        for dim in (2, 8):
+            with pytest.raises(DimensionMismatchError):
+                bd.negativity(bd.DensityMatrix(np.eye(dim, dtype=complex) / dim))
+
 
 class TestBlochDecomposition:
     def test_maximally_mixed(self):
@@ -137,8 +153,6 @@ class TestBlochDecomposition:
         np.testing.assert_allclose(dec.corr, np.diag([0, 0, 1.0]), atol=1e-12)
 
     def test_reconstruction(self, rng):
-        from belldiag import qmath
-
         for _ in range(20):
             rho = ginibre_state(rng)
             dec = bd.bloch_decompose(rho)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import ginibre_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import apply_channel_superoperator
 
 import belldiag as bd
@@ -139,3 +141,39 @@ class TestDecoheredSweep:
         np.testing.assert_allclose(dec.corr, -0.7 * 0.6 * np.eye(3), atol=1e-12)
         assert dec.b_vec[2] == pytest.approx(0.3, abs=1e-12)
         assert abs(dec.a_vec[2]) < 1e-12
+
+
+rates = st.floats(0.0, 1.0, allow_nan=False)
+
+
+class TestDampingMonotonicity:
+    """Damping one qubit never raises a measure that is a monotone under local channels."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), a=rates, p=rates)
+    def test_entanglement_measures_on_either_qubit(self, seed, rank, a, p):
+        rho = ginibre_state(np.random.default_rng(seed), rank=rank)
+        channel = bd.composite_damping(a, p)
+        for qubit in (0, 1):
+            out = bd.apply_channel(channel, rho, qubit)
+            for measure in (bd.negativity, bd.steering, bd.nonlocality):
+                assert measure(out) <= measure(rho) + 1e-12, (measure.__name__, qubit)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), a=rates, p=rates)
+    def test_discord_on_unmeasured_qubit(self, seed, rank, a, p):
+        # Discord measures qubit b; a channel on qubit a cannot raise it.
+        rho = ginibre_state(np.random.default_rng(seed), rank=rank)
+        out = bd.apply_channel(bd.composite_damping(a, p), rho, qubit=0)
+        assert bd.discord_oz(out) <= bd.discord_oz(rho) + 1e-7
+
+    def test_damping_measured_qubit_can_create_discord(self):
+        # (|0><0| x |+><+| + |1><1| x |-><-|) / 2 has zero discord. Amplitude damping
+        # on qubit b, the measured side, makes the two states of b non-orthogonal.
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        m = (np.kron(np.diag([1.0, 0.0]), plus) + np.kron(np.diag([0.0, 1.0]), minus)) / 2
+        rho = bd.DensityMatrix(m)
+        assert bd.discord_oz(rho) == pytest.approx(0.0, abs=1e-9)
+        out = bd.apply_channel(bd.composite_damping(0.5, 0.0), rho, qubit=1)
+        assert bd.discord_oz(out) == pytest.approx(0.0576, abs=1e-4)

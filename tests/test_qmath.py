@@ -1,51 +1,90 @@
 import numpy as np
 import pytest
 from helpers import ginibre_state, random_hermitian, random_psd
+from oracles import apply_channel_superoperator
 
+import belldiag as bd
 from belldiag import qmath
 from belldiag.exceptions import (
     DimensionMismatchError,
     NegativeSpectrumError,
     NotHermitianError,
 )
-from belldiag.states import bell_state_vector
+from belldiag.noise import KrausChannel, apply_channel
+from belldiag.states import BELL_INDICES, bell_state_vector
 
 I2 = np.eye(2, dtype=complex)
 
 
+def mixed_state(rng, n_qubits: int) -> bd.DensityMatrix:
+    m = random_psd(rng, 2**n_qubits)
+    return bd.DensityMatrix(m / np.trace(m).real, validate=False)
+
+
+# (n_qubits, qubit) for every qubit position of 1-, 2- and 3-qubit states.
+POSITIONS = [(n, q) for n in (1, 2, 3) for q in range(n)]
+
+
 class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(qmath.kron_all([I2, I2]), np.eye(4))
+    """``noise.apply_channel``: one qubit's Kraus operators applied across the
+    (qubits before, qubit, qubits after) split of the state's indices."""
+
+    def test_identity(self, rng):
+        channel = KrausChannel(operators=(I2,))
+        for n, q in POSITIONS:
+            rho = mixed_state(rng, n)
+            np.testing.assert_array_equal(apply_channel(channel, rho, q).matrix, rho.matrix)
 
     def test_sigma1_sigma1(self):
-        expected = np.fliplr(np.eye(4))
-        np.testing.assert_allclose(qmath.kron_all([qmath.SIGMA_1, qmath.SIGMA_1]), expected)
+        # A bit flip on qubit q maps |i><i| to |i'><i'|, with i' = i with bit q flipped.
+        channel = KrausChannel(operators=(qmath.SIGMA_1,))
+        for n, q in POSITIONS:
+            dim = 2**n
+            for i in range(dim):
+                basis = np.zeros((dim, dim), dtype=complex)
+                basis[i, i] = 1.0
+                out = apply_channel(channel, bd.DensityMatrix(basis), q).matrix
+                flipped = i ^ (1 << (n - 1 - q))
+                np.testing.assert_array_equal(np.nonzero(out), ([flipped], [flipped]))
 
-    def test_projector_sigma3(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(
-            qmath.kron_all([proj, qmath.SIGMA_3]), np.diag([1.0, -1.0, 0.0, 0.0])
-        )
+    def test_projector_sigma3(self, rng):
+        # Kraus operators (I +- sigma_3)/2 delete every entry whose row and column
+        # differ in bit q, and keep the rest.
+        projectors = ((I2 + qmath.SIGMA_3) / 2, (I2 - qmath.SIGMA_3) / 2)
+        channel = KrausChannel(operators=projectors)
+        for n, q in POSITIONS:
+            rho = mixed_state(rng, n)
+            bit = (np.arange(2**n) >> (n - 1 - q)) & 1
+            keep = bit[:, None] == bit[None, :]
+            out = apply_channel(channel, rho, q).matrix
+            np.testing.assert_allclose(out, np.where(keep, rho.matrix, 0), atol=1e-15)
 
     def test_associative_and_bilinear(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            abc = qmath.kron_all([a, b, c])
-            np.testing.assert_allclose(qmath.kron_all([qmath.kron_all([a, b]), c]), abc, atol=1e-12)
-            np.testing.assert_allclose(qmath.kron_all([a, qmath.kron_all([b, c])]), abc, atol=1e-12)
-            s, t = rng.normal(), rng.normal()
+        # Linear in rho, and channels on two different qubits commute.
+        first, second = bd.composite_damping(0.35, 0.15), bd.composite_damping(0.6, 0.8)
+        for n, q in POSITIONS:
+            r1, r2 = mixed_state(rng, n), mixed_state(rng, n)
+            s, t = rng.normal(size=2)
+            mix = bd.DensityMatrix(s * r1.matrix + t * r2.matrix, validate=False)
             np.testing.assert_allclose(
-                qmath.kron_all([s * a + t * c, b]),
-                s * qmath.kron_all([a, b]) + t * qmath.kron_all([c, b]),
+                apply_channel(first, mix, q).matrix,
+                s * apply_channel(first, r1, q).matrix + t * apply_channel(first, r2, q).matrix,
                 atol=1e-12,
             )
+            for other in set(range(n)) - {q}:
+                one_way = apply_channel(second, apply_channel(first, r1, q), other)
+                other_way = apply_channel(first, apply_channel(second, r1, other), q)
+                np.testing.assert_allclose(one_way.matrix, other_way.matrix, atol=1e-12)
 
-    def test_kron_all(self):
-        np.testing.assert_allclose(
-            qmath.kron_all([I2, qmath.SIGMA_1]), np.kron(I2, qmath.SIGMA_1)
-        )
+    def test_kron_all(self, rng):
+        for a, p in ((0.35, 0.15), (1.0, 0.0), (0.0, 1.0)):
+            channel = bd.composite_damping(a, p)
+            for n, q in POSITIONS:
+                for _ in range(5):
+                    rho = mixed_state(rng, n)
+                    want = apply_channel_superoperator(channel.operators, rho.matrix, q, n)
+                    got = apply_channel(channel, rho, q).matrix
+                    assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestPauliCoefficients:
@@ -116,9 +155,12 @@ class TestTraceNorm:
         assert qmath.trace_norm(np.diag([0.5, -0.5]).astype(complex)) == pytest.approx(1.0)
 
     def test_partial_transpose_of_bell(self):
-        v = bell_state_vector(1, 1)
-        pt = qmath.partial_transpose(np.outer(v, v.conj()), (2, 2), "b")
+        # |b11><b11| has 1/2 on |01><01| and |10><10| and -1/2 on |01><10| and
+        # |10><01|; transposing qubit b moves the last two to |00><11| and |11><00|.
+        pt = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+        pt[0, 3] = pt[3, 0] = -0.5
         assert qmath.trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
+        assert bd.negativity(bd.bell_state(1, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_lower_bound_by_trace(self, rng):
         for _ in range(50):
@@ -187,29 +229,32 @@ class TestPartialTrace:
 
 
 class TestPartialTranspose:
-    def test_diagonal_unchanged(self):
-        d = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        np.testing.assert_allclose(qmath.partial_transpose(d, (2, 2), "b"), d)
+    """``measures.negativity``, through the partial transpose on qubit b."""
+
+    def test_diagonal_unchanged(self, rng):
+        for _ in range(20):
+            d = rng.dirichlet(np.ones(4))
+            rho = bd.DensityMatrix(np.diag(d).astype(complex))
+            assert bd.negativity(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_spectrum(self):
-        v = bell_state_vector(1, 1)
-        pt = qmath.partial_transpose(np.outer(v, v.conj()), (2, 2), "b")
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(pt)), [-0.5, 0.5, 0.5, 0.5], atol=1e-12
-        )
+        # The partial transpose of every Bell state has spectrum (-1/2, 1/2, 1/2, 1/2).
+        for j, k in BELL_INDICES:
+            assert bd.negativity(bd.bell_state(j, k)) == pytest.approx(1.0, abs=1e-12)
 
     def test_involution(self, rng):
-        m = random_hermitian(rng, 4)
-        for sub in ("a", "b"):
-            np.testing.assert_array_equal(
-                qmath.partial_transpose(qmath.partial_transpose(m, (2, 2), sub), (2, 2), sub), m
-            )
+        # rho and its transpose have partial transposes that are transposes of each other.
+        for rank in (1, 2, 3, 4):
+            for _ in range(10):
+                rho = ginibre_state(rng, rank=rank)
+                transposed = bd.DensityMatrix(rho.matrix.T, validate=False)
+                assert bd.negativity(transposed) == pytest.approx(bd.negativity(rho), abs=1e-12)
 
     def test_product_state_stays_psd(self, rng):
-        a = random_psd(rng, 2)
-        b = random_psd(rng, 2)
-        pt = qmath.partial_transpose(np.kron(a, b), (2, 2), "b")
-        assert np.linalg.eigvalsh(pt)[0] > -1e-12
+        for _ in range(20):
+            a, b = random_psd(rng, 2), random_psd(rng, 2)
+            rho = bd.DensityMatrix(np.kron(a / np.trace(a), b / np.trace(b)), validate=False)
+            assert bd.negativity(rho) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestVnEntropy:

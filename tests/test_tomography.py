@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from helpers import ginibre_state
@@ -94,6 +96,23 @@ class TestEstimateCorrelations:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(bd.estimate_correlations(counts).values, expected)
+
+    def test_matches_per_setting_sums(self, rng):
+        # Per-setting sums in exact rationals, rounded once: the estimate is the
+        # correctly rounded value for any shot count, not only powers of two.
+        for shots in (3, 777, 1000, 8192, 12345):
+            counts = bd.sample_counts(ginibre_state(rng), shots, seed=shots)
+            want = [[Fraction(0)] * 4 for _ in range(4)]
+            want[0][0] = Fraction(1)
+            for setting in SETTINGS:
+                pp, pm, mp, mm = counts.counts[setting]
+                j, k = "XYZ".index(setting.basis_a) + 1, "XYZ".index(setting.basis_b) + 1
+                want[j][k] = Fraction(pp + mm - pm - mp, shots)
+                want[j][0] += Fraction(pp + pm - mp - mm, 3 * shots)
+                want[0][k] += Fraction(pp + mp - pm - mm, 3 * shots)
+            np.testing.assert_array_equal(
+                bd.estimate_correlations(counts).values, np.array(want, dtype=float)
+            )
 
     def test_matches_pauli_expectations(self, rng):
         for _ in range(100):

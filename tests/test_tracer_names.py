@@ -1,0 +1,33 @@
+"""The benchmark's span tracer finds package functions by name at run time.
+
+``perfbench/tracer.py`` imports only the standard library, so it is loaded
+here by file path. A deleted or renamed function would otherwise surface only
+when the benchmark runs with ``--trace 1``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import belldiag as bd
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    for layer, names in load_tracer().TRACED.items():
+        module = importlib.import_module(f"belldiag.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"belldiag.{layer}.{name}"
+
+
+def test_discord_grid_stage_runs_alone():
+    # The tracer times the grid stage as discord_oz(rho, refine=False).
+    assert bd.discord_oz(bd.werner(0.5), refine=False) >= bd.discord_oz(bd.werner(0.5))
