@@ -9,7 +9,6 @@ pair collapses to one rotation and the circuit has six gates.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -275,16 +274,3 @@ def to_qasm(
         lines.append(f"measure q[{phys[logical]}] -> c[{slot}];")
 
     return "\n".join(lines) + "\n"
-
-
-def circuit_to_json(circ: Circuit) -> str:
-    """Serialize a circuit as ``{"n_qubits": n, "gates": [...]}``."""
-    payload = {
-        "n_qubits": circ.n_qubits,
-        "gates": [
-            {"kind": g.kind, "params": list(g.params), "targets": list(g.targets)}
-            for g in circ.gates
-        ],
-    }
-    return json.dumps(payload, indent=2)
-

@@ -1,6 +1,7 @@
 """Command-line driver: preparation, Werner sweeps, measurement, tomography.
 
-Exit codes: 0 success, 2 input validation failure, 3 I/O failure.
+Exit codes: 0 success, 2 input validation failure, 3 I/O failure. Input
+files are read as bytes, so one that is not UTF-8 is malformed input.
 """
 
 from __future__ import annotations
@@ -8,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -21,31 +23,6 @@ CSV_HEADER = "w,F,C,D,E,S,N,C_th,D_th,E_th,S_th,N_th"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of one sweep; defaults follow the 11-point, 8192-shot protocol.
-
-    Without ``custom_spec`` the sweep follows the Werner family. With it, the
-    sweep mixes the maximally mixed state toward ``custom_spec`` with weight
-    w, which reduces to the Werner family when the target is the (1,1) Bell
-    state.
-    """
-
-    custom_spec: states.BdsSpec | None = None
-    w_points: int = 11
-    shots: int = 8192
-    seed: int = 0
-    noise_a: float = 0.0
-    noise_p: float = 0.0
-    project_physical: bool = True
-
-    def spec_at(self, w: float) -> states.BdsSpec:
-        if self.custom_spec is None:
-            return states.werner_spec(w)
-        mixed = (1.0 - w) * 0.25 + w * self.custom_spec.probabilities
-        return states.BdsSpec(*mixed)
 
 
 def _fmt(x: float) -> str:
@@ -98,13 +75,9 @@ def _parse_noise(text: str) -> tuple[float, float]:
 def _write_output(text: str, out_path: str | None) -> int:
     if out_path is None:
         sys.stdout.write(text)
-        return EXIT_OK
-    try:
+    else:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK
 
 
@@ -121,7 +94,7 @@ def cmd_prepare(args) -> int:
         # The first gate is R(theta/2) on qubit a.
         "theta": 2 * circ.gates[0].params[0],
         "probabilities": spec.probabilities.tolist(),
-        "circuit": json.loads(circuit_mod.circuit_to_json(circ)),
+        "circuit": {"n_qubits": circ.n_qubits, "gates": [asdict(g) for g in circ.gates]},
         "state": json.loads(states.density_matrix_to_json(rho)),
     }
     text = json.dumps(doc, indent=2)
@@ -130,32 +103,42 @@ def cmd_prepare(args) -> int:
     return _write_output(text + "\n", args.out)
 
 
-def _sweep_rows(config: SweepConfig) -> list[str]:
-    channel = None
-    if config.noise_a > 0 or config.noise_p > 0:
-        channel = noise.composite_damping(config.noise_a, config.noise_p)
+def _sweep_rows(args) -> list[str]:
+    """CSV rows of a ``sweep``, one per weight w on an even grid over [0, 1].
+
+    Without ``--p`` the rows follow the Werner family. With it, each row
+    mixes the maximally mixed state toward that spec with weight w, which
+    reduces to the Werner family when the target is the (1,1) Bell state.
+    """
+    channel = noise.composite_damping(*_parse_noise(args.noise)) if args.noise else None
+    target_p = _parse_probs(args.p).probabilities if args.p else None
+    if args.points < 1 or args.shots < 0:
+        raise BellDiagError("--points must be >= 1 and --shots >= 0")
 
     rows = []
-    for i in range(config.w_points):
-        w = i / (config.w_points - 1) if config.w_points > 1 else 0.0
-        spec = config.spec_at(w)
+    for i in range(args.points):
+        w = i / (args.points - 1) if args.points > 1 else 0.0
+        if target_p is None:
+            spec = states.werner_spec(w)
+        else:
+            spec = states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p))
         target = states.bds_from_spec(spec)
         state = circuit_mod.prepared_state(spec)
         if channel is not None:
             state = noise.apply_channel(channel, state, qubit=0)
 
-        if config.shots > 0:
-            row_seed = config.seed * 100003 + i
-            counts = tomography.sample_counts(state, config.shots, row_seed)
+        if args.shots > 0:
+            row_seed = args.seed * 100003 + i
+            counts = tomography.sample_counts(state, args.shots, row_seed)
             result = tomography.reconstruct(tomography.estimate_correlations(counts))
         else:
             result = tomography.reconstruct(tomography.exact_correlations(state))
 
         fid = states.fidelity(result.state, target)
-        if config.project_physical:
-            measured = result.state
-        else:
+        if args.no_project:
             measured = states.DensityMatrix(result.raw_matrix, validate=False)
+        else:
+            measured = result.state
         report = measures.full_report(measured)
         theory = measures.full_report(target)
 
@@ -165,30 +148,12 @@ def _sweep_rows(config: SweepConfig) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    noise_a, noise_p = _parse_noise(args.noise) if args.noise else (0.0, 0.0)
-    config = SweepConfig(
-        custom_spec=_parse_probs(args.p) if args.p else None,
-        w_points=args.points,
-        shots=args.shots,
-        seed=args.seed,
-        noise_a=noise_a,
-        noise_p=noise_p,
-        project_physical=not args.no_project,
-    )
-    if config.w_points < 1 or config.shots < 0:
-        raise BellDiagError("--points must be >= 1 and --shots >= 0")
-    rows = _sweep_rows(config)
+    rows = _sweep_rows(args)
     return _write_output(CSV_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
 
 
 def cmd_measure(args) -> int:
-    try:
-        with open(args.state_file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.state_file}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    rho = states.density_matrix_from_json(text)
+    rho = states.density_matrix_from_json(Path(args.state_file).read_bytes())
 
     doc = {
         "n_qubits": rho.n_qubits,
@@ -203,14 +168,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_tomograph(args) -> int:
-    try:
-        with open(args.counts_file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.counts_file}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    counts = tomography.counts_from_json(text)
-
+    counts = tomography.counts_from_json(Path(args.counts_file).read_bytes())
     result = tomography.reconstruct(tomography.estimate_correlations(counts))
     doc = {
         "projected": result.projected,
@@ -264,13 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ``BellDiagError`` from any of them exits with 2."""
+    """Run one command; a ``BellDiagError`` exits with 2 and an ``OSError`` with 3."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BellDiagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -109,11 +109,15 @@ def correlation_vector(corr: np.ndarray) -> np.ndarray:
 
 
 def negativity(rho: DensityMatrix) -> float:
-    """Trace norm of the partial transpose on qubit b minus one, clamped at zero."""
+    """Trace norm of the partial transpose on qubit b minus one.
+
+    A value below ``ROUNDOFF_CLAMP``, round-off on a separable state, reads 0.
+    """
     if rho.n_qubits != 2:
         raise DimensionMismatchError("negativity is defined for two qubits")
     pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return max(0.0, _clamp_roundoff(qmath.trace_norm(pt) - 1.0))
+    excess = qmath.trace_norm(pt) - 1.0
+    return excess if excess >= ROUNDOFF_CLAMP else 0.0
 
 
 def steering(rho: DensityMatrix) -> float:

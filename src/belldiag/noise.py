@@ -73,14 +73,14 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> 
 
 
 def decohered_werner_sweep(
-    a: float, p: float, w_grid: Sequence[float], qubit: int = 0
+    a: float, p: float, w_grid: Sequence[float]
 ) -> list[tuple[float, ResourceReport]]:
-    """Measures of Werner states after damping one qubit, for each weight."""
+    """Measures of Werner states after damping qubit a, for each weight."""
     if len(w_grid) == 0:
         raise OutOfRangeError("w_grid must be nonempty")
     channel = composite_damping(a, p)
     out = []
     for w in w_grid:
-        decohered = apply_channel(channel, werner(float(w)), qubit)
+        decohered = apply_channel(channel, werner(float(w)))
         out.append((float(w), full_report(decohered)))
     return out

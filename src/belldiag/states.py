@@ -11,6 +11,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,11 +152,11 @@ def density_matrix_to_json(rho: DensityMatrix) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def density_matrix_from_json(text: str, validate: bool = True) -> DensityMatrix:
+def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
     """Parse the density-matrix JSON format, validating state invariants."""
     try:
         payload = json.loads(text)
-        n = int(payload["n_qubits"])
+        n = operator.index(payload["n_qubits"])
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -164,4 +165,4 @@ def density_matrix_from_json(text: str, validate: bool = True) -> DensityMatrix:
         raise NotAStateError(
             f"matrix shape {re.shape} does not match n_qubits={n}"
         )
-    return DensityMatrix(re + 1j * im, validate=validate)
+    return DensityMatrix(re + 1j * im)

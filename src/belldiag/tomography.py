@@ -10,6 +10,7 @@ physical set when the raw matrix has a meaningfully negative eigenvalue.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .states import DensityMatrix
+from .states import STATE_MIN_EIGENVALUE, DensityMatrix
 
 BASES = ("X", "Y", "Z")
 _BASIS_INDEX = {"X": 1, "Y": 2, "Z": 3}
@@ -27,8 +28,6 @@ OUTCOMES = ("pp", "pm", "mp", "mm")
 # Local eigenvalue signs (s_a, s_b) of each outcome, in OUTCOMES order.
 _SIGNS_A = np.array([1, 1, -1, -1])
 _SIGNS_B = np.array([1, -1, 1, -1])
-
-PROJECTION_EIGENVALUE_TRIGGER = -1e-8
 
 
 class MeasurementSetting(NamedTuple):
@@ -120,8 +119,12 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     (seed, setting index), so results are reproducible and independent of
     evaluation order.
     """
-    if shots < 1:
-        raise OutOfRangeError("shots must be >= 1")
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
+    if not 1 <= shots <= np.iinfo(np.int64).max:  # the most trials numpy's multinomial takes
+        raise OutOfRangeError(f"shots must be in [1, 2**63 - 1], got {shots}")
     c = qmath.pauli_coefficients(rho.matrix)
     counts = {}
     for idx, setting in enumerate(SETTINGS):
@@ -165,7 +168,7 @@ def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
     raw = qmath.from_pauli_coefficients(corr.values)
 
     w, v = np.linalg.eigh(raw)
-    if w[0] < PROJECTION_EIGENVALUE_TRIGGER:
+    if w[0] < STATE_MIN_EIGENVALUE:
         w = np.clip(w, 0.0, None)
         w = w / np.sum(w)
         physical = (v * w) @ v.conj().T
@@ -204,16 +207,16 @@ def counts_to_json(counts: TomographyCounts) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def counts_from_json(text: str) -> TomographyCounts:
+def counts_from_json(text: str | bytes) -> TomographyCounts:
     """Parse the counts JSON format, validating its invariants."""
     try:
         payload = json.loads(text)
-        shots = int(payload["shots"])
+        shots = operator.index(payload["shots"])
         settings = payload["settings"]
         counts = {}
         for setting in SETTINGS:
             entry = settings[setting.key]
-            counts[setting] = tuple(int(entry[o]) for o in OUTCOMES)
+            counts[setting] = tuple(operator.index(entry[o]) for o in OUTCOMES)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise OutOfRangeError(f"malformed counts JSON: {exc}") from exc
     return TomographyCounts(shots_per_setting=shots, counts=counts)

@@ -16,7 +16,7 @@ from helpers import ginibre_state, random_spec
 from oracles import apply_channel_superoperator, discord_grid_oracle
 
 import belldiag as bd
-from belldiag.cli import CSV_HEADER, SweepConfig, _sweep_rows
+from belldiag.cli import CSV_HEADER, _sweep_rows, build_parser
 from belldiag.noise import COMPLETENESS_ATOL
 from belldiag.tomography import counts_to_json
 
@@ -32,8 +32,12 @@ def _check(label, ok, detail=""):
     assert ok, f"{label}: {detail}"
 
 
-def _sweep_table(config):
-    rows = _sweep_rows(config)
+def _sweep_args(*flags):
+    return build_parser().parse_args(["sweep", *flags])
+
+
+def _sweep_table(args):
+    rows = _sweep_rows(args)
     return np.array([[float(x) for x in row.split(",")] for row in rows])
 
 
@@ -55,7 +59,7 @@ def test_criterion_1_end_to_end_preparation_identity():
 
 
 def test_criterion_2_werner_theory_curves():
-    data = _sweep_table(SweepConfig(w_points=11, shots=0))
+    data = _sweep_table(_sweep_args("--points", "11", "--shots", "0"))
     w = data[:, 0]
     errors = {
         "C": np.max(np.abs(data[:, 2] - w)),
@@ -221,9 +225,9 @@ def test_criterion_7_channel_correctness():
 
 
 def test_criterion_8_determinism():
-    config = SweepConfig(w_points=3, shots=512, seed=12345)
-    csv_a = CSV_HEADER + "\n" + "\n".join(_sweep_rows(config)) + "\n"
-    csv_b = CSV_HEADER + "\n" + "\n".join(_sweep_rows(config)) + "\n"
+    args = _sweep_args("--points", "3", "--shots", "512", "--seed", "12345")
+    csv_a = CSV_HEADER + "\n" + "\n".join(_sweep_rows(args)) + "\n"
+    csv_b = CSV_HEADER + "\n" + "\n".join(_sweep_rows(args)) + "\n"
 
     counts_a = counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=99))
     counts_b = counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=99))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -233,14 +234,76 @@ class TestErrorPath:
             ("sweep", "--noise", "x,0"),
             ("prepare", "--p", "nan,0,0,1"),
             ("sweep", "--p", "nan,0,0,1", "--points", "2", "--shots", "0"),
+            ("sweep", "--noise=-0.5,0", "--points", "2", "--shots", "0"),
+            ("sweep", "--points", "2", "--shots", "18446744073709551616"),
+            ("sweep", "--points", "2", "--shots", "9223372036854775808"),
         ],
-        ids=["text-probs", "text-layout", "text-noise", "nan-prepare", "nan-sweep"],
+        ids=[
+            "text-probs",
+            "text-layout",
+            "text-noise",
+            "nan-prepare",
+            "nan-sweep",
+            "negative-noise",
+            "shots-2**64",
+            "shots-2**63",
+        ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv):
         proc = run_cli(*argv)
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["measure", "tomograph"])
+    def test_non_utf8_file_exits_2(self, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n_qubits": 2, "note": "\xe9"}')
+        proc = run_cli(command, str(path))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "malformed" in proc.stderr
+
+    def test_non_integer_counts_exit_2(self, tmp_path):
+        payload = json.loads(counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=1)))
+        payload["settings"]["XX"] = {"pp": 4096.5, "pm": 4096.5, "mp": 0, "mm": 0}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli("tomograph", str(path))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "{missing}"),
+            ("tomograph", "{missing}"),
+            ("measure", "{directory}"),
+            ("tomograph", "{directory}"),
+            ("sweep", "--points", "2", "--shots", "0", "--out", "{unwritable}"),
+            ("prepare", "--werner", "0.5", "--out", "{directory}"),
+        ],
+        ids=[
+            "measure-missing",
+            "tomograph-missing",
+            "measure-directory",
+            "tomograph-directory",
+            "sweep-unwritable",
+            "prepare-directory",
+        ],
+    )
+    def test_io_failure_exits_3_without_traceback(self, tmp_path, argv):
+        paths = {
+            "missing": str(tmp_path / "missing.json"),
+            "directory": str(tmp_path),
+            "unwritable": str(tmp_path / "no-such-dir" / "out.csv"),
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert argv[-1] in proc.stderr
 
     def test_non_finite_state_file_exits_2(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -251,6 +314,68 @@ class TestErrorPath:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "non-finite" in proc.stderr
+
+
+class TestOutputBytes:
+    """sha-256 of stdout for the acceptance commands; a change that moves these bytes
+    on purpose records it and updates the digest."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "sweep --points 11 --shots 0",
+                "7e6fded2567025aeab6ba5d3c7b282b641b72010cba387a43d19df8598fb31b8",
+            ),
+            (
+                "sweep --points 101 --shots 0 --noise 0.3,0.3",
+                "4cd251526bbaf67cdbebb85ea8f1ef59fac3ccda43a74d2e2f69371237d2bc97",
+            ),
+            (
+                "sweep --points 11 --shots 0 --p 0.42,0.18,0.28,0.12",
+                "02642bee37d377c046dfa848e5c3b70afc7994b890ef6b76cb12d56def966259",
+            ),
+            (
+                "sweep --points 11 --shots 8192 --seed 1",
+                "ee892b21446081c592eb72b6210e0d977489ae0ee623bcf75c64f24b8981adbe",
+            ),
+            (
+                "sweep --points 101 --shots 8192 --seed 7",
+                "b7bf5051e11597e46e5cbfbf47e52b3ffe2452903b5f6b32273379b21cf1c65f",
+            ),
+            (
+                "sweep --points 3 --shots 512 --seed 12345",
+                "506220418acb8e409115300d7ba43d58c1eab966d66275ad84671c5a2c25b2a2",
+            ),
+            (
+                "sweep --points 21 --shots 8192 --seed 3 --noise 0.3,0.3",
+                "b3d7a75ab8bae5cedbb087603b751c0abbcb842dd3e98a5932f2dce827ab85e4",
+            ),
+            (
+                "sweep --points 11 --shots 8192 --seed 1 --no-project",
+                "bb244c1da9ce6b1a31470b94f56b750faec63d7beae1a5879d2718c727e0f4ac",
+            ),
+            (
+                "prepare --werner 0.5 --qasm",
+                "8170c02c9ce1387c8a95f1f5793601e53e07e616010917e992adb29f0173a147",
+            ),
+            (
+                "prepare --p 0.42,0.18,0.28,0.12 --qasm --layout a:0,b:1,c:2,d:3",
+                "4b4857145ef8eeee0db34c07445d726267cc324d33c4f2d806ef13a5dac009df",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("shots", ["0", "8192"])
+    def test_zero_noise_is_no_noise(self, capsys, shots):
+        flags = ["sweep", "--points", "11", "--shots", shots, "--seed", "1"]
+        _, plain, _ = run(capsys, *flags)
+        _, damped, _ = run(capsys, *flags, "--noise", "0,0")
+        assert damped == plain
 
 
 def test_import_loads_no_scipy():

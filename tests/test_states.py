@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from helpers import ginibre_state, random_spec
@@ -231,3 +233,10 @@ class TestJsonFormat:
             density_matrix_from_json("{not json")
         with pytest.raises(NotAStateError):
             density_matrix_from_json('{"n_qubits": 1, "re": [[1, 0]], "im": [[0, 0]]}')
+
+    def test_non_integer_qubit_count_rejected(self, rng):
+        payload = json.loads(density_matrix_to_json(ginibre_state(rng)))
+        payload["n_qubits"] = 2.9
+        with pytest.raises(NotAStateError):
+            density_matrix_from_json(json.dumps(payload))
+

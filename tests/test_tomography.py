@@ -74,8 +74,16 @@ class TestSampleCounts:
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
             bd.sample_counts(bd.werner(0.5), shots=0, seed=1)
+        for shots in (2**63, 2**64, 100.5, 100.0, "100"):
+            with pytest.raises(OutOfRangeError):
+                bd.sample_counts(bd.werner(0.5), shots=shots, seed=1)
         with pytest.raises(OutOfRangeError):
             make_counts(10, (5, 5, 5, 5))  # sums to 20
+
+    def test_largest_shot_count(self):
+        shots = np.iinfo(np.int64).max
+        counts = bd.sample_counts(bd.werner(0.5), shots=np.int64(shots), seed=1)
+        assert counts.shots_per_setting == shots
 
 
 class TestEstimateCorrelations:
@@ -224,5 +232,18 @@ class TestCountsJson:
 
         payload = json.loads(text)
         payload["settings"]["XX"]["pp"] += 1
+        with pytest.raises(OutOfRangeError):
+            counts_from_json(json.dumps(payload))
+
+    def test_non_integer_numbers_rejected(self):
+        text = counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=1))
+        import json
+
+        payload = json.loads(text)
+        payload["settings"]["XX"] = {"pp": 4096.5, "pm": 4096.5, "mp": 0, "mm": 0}
+        with pytest.raises(OutOfRangeError):
+            counts_from_json(json.dumps(payload))
+        payload = json.loads(text)
+        payload["shots"] = 8192.9
         with pytest.raises(OutOfRangeError):
             counts_from_json(json.dumps(payload))
