@@ -10,7 +10,6 @@ pair collapses to one rotation and the circuit has six gates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -22,7 +21,7 @@ from .exceptions import (
     InvalidLayoutError,
     OutOfRangeError,
 )
-from .states import BdsSpec, DensityMatrix
+from .states import BdsSpec, DensityMatrix, strict_index
 
 GATE_KINDS = ("r", "h", "cx")
 
@@ -57,7 +56,7 @@ class Gate:
             raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
         try:
             params = tuple(float(p) for p in self.params)
-            targets = tuple(operator.index(t) for t in self.targets)
+            targets = tuple(strict_index(t) for t in self.targets)
         except (TypeError, ValueError):
             raise OutOfRangeError(f"bad gate params {self.params} or targets {self.targets}") from None
         if not all(math.isfinite(p) for p in params):
@@ -168,7 +167,7 @@ def _apply(psi: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> 
 def simulate_statevector(circ: Circuit, basis: int = 0) -> np.ndarray:
     """Apply the circuit's gates in order to the computational basis state ``basis``."""
     dim = 2**circ.n_qubits
-    basis = operator.index(basis)
+    basis = strict_index(basis)
     if not 0 <= basis < dim:
         raise DimensionMismatchError(f"basis index {basis} out of range for dim {dim}")
     psi = np.zeros(dim, dtype=complex)

@@ -116,6 +116,13 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
     return DensityMatrix(rho, validate=False)
 
 
+def strict_index(value) -> int:
+    """``operator.index`` that also refuses ``bool``: a JSON ``true`` is not the integer 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def werner_spec(w: float) -> BdsSpec:
     """Bell-basis probabilities of the Werner state of weight ``w``."""
     if not 0.0 <= w <= 1.0:
@@ -156,13 +163,14 @@ def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
     """Parse the density-matrix JSON format, validating state invariants."""
     try:
         payload = json.loads(text)
-        n = operator.index(payload["n_qubits"])
+        n = strict_index(payload["n_qubits"])
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise NotAStateError(f"malformed density-matrix JSON: {exc}") from exc
-    if re.shape != (2**n, 2**n) or im.shape != (2**n, 2**n):
-        raise NotAStateError(
-            f"matrix shape {re.shape} does not match n_qubits={n}"
-        )
+    # n is checked against the side before 2**n is formed: a huge n_qubits costs nothing.
+    side = re.shape[0] if re.ndim == 2 else 0
+    if (re.shape != (side, side) or im.shape != re.shape
+            or n != side.bit_length() - 1 or side != 2**n):
+        raise NotAStateError(f"matrix shape {re.shape} does not match n_qubits={n}")
     return DensityMatrix(re + 1j * im)

@@ -10,7 +10,6 @@ physical set when the raw matrix has a meaningfully negative eigenvalue.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .states import STATE_MIN_EIGENVALUE, DensityMatrix
+from .states import STATE_MIN_EIGENVALUE, DensityMatrix, strict_index
 
 BASES = ("X", "Y", "Z")
 _BASIS_INDEX = {"X": 1, "Y": 2, "Z": 3}
@@ -120,7 +119,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     evaluation order.
     """
     try:
-        shots = operator.index(shots)
+        shots = strict_index(shots)
     except TypeError:
         raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
     if not 1 <= shots <= np.iinfo(np.int64).max:  # the most trials numpy's multinomial takes
@@ -211,12 +210,12 @@ def counts_from_json(text: str | bytes) -> TomographyCounts:
     """Parse the counts JSON format, validating its invariants."""
     try:
         payload = json.loads(text)
-        shots = operator.index(payload["shots"])
+        shots = strict_index(payload["shots"])
         settings = payload["settings"]
         counts = {}
         for setting in SETTINGS:
             entry = settings[setting.key]
-            counts[setting] = tuple(operator.index(entry[o]) for o in OUTCOMES)
+            counts[setting] = tuple(strict_index(entry[o]) for o in OUTCOMES)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise OutOfRangeError(f"malformed counts JSON: {exc}") from exc
     return TomographyCounts(shots_per_setting=shots, counts=counts)

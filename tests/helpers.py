@@ -37,6 +37,12 @@ def random_spec(rng: np.random.Generator) -> bd.BdsSpec:
     return bd.BdsSpec(*rng.dirichlet(np.ones(4)))
 
 
+def rotated_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
+    """Bell-diagonal matrix under a random local unitary: both Bloch vectors vanish."""
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return u @ bd.bds_from_spec(random_spec(rng)).matrix @ u.conj().T
+
+
 def product_spec(theta: float, alpha: float) -> bd.BdsSpec:
     """Product-form spec with j-marginal cos^2(theta/2) and k-marginal cos^2(alpha/2)."""
     ct2 = math.cos(theta / 2) ** 2

@@ -77,6 +77,24 @@ def discord_grid_oracle(
     return max(0.0, mutual_information_definitional(rho) - best)
 
 
+def discord_zero_marginal_oracle(rho: np.ndarray) -> float:
+    """Discord of a state whose two local Bloch vectors vanish (S. Luo, PRA 77, 042303 (2008)).
+
+    The best measurement axis n then maximizes |T n|, so the classical
+    correlation is ``1 - h((1 + s_max)/2)`` with ``s_max`` the largest
+    singular value of ``T_jk = Tr(rho sigma_j x sigma_k)``, read here from
+    explicit Pauli traces. The formula assumes the zero marginals; it is not
+    checked.
+    """
+    paulis = (_SX, _SY, _SZ)
+    t = np.array([[np.trace(rho @ np.kron(sj, sk)).real for sk in paulis] for sj in paulis])
+    s_max = np.linalg.svd(t, compute_uv=False)[0]
+    p = np.array([1 + s_max, 1 - s_max]) / 2
+    p = p[p > 1e-12]
+    classical = 1.0 + float(np.sum(p * np.log2(p)))
+    return max(0.0, mutual_information_definitional(rho) - classical)
+
+
 def apply_channel_superoperator(
     kraus_ops, rho: np.ndarray, qubit: int, n_qubits: int
 ) -> np.ndarray:

@@ -66,7 +66,7 @@ class TestGates:
         for bad in (np.nan, np.inf, -np.inf, "x", None):
             with pytest.raises(OutOfRangeError):
                 Gate("r", (bad,), (0,))
-        for targets in ((1.7,), (1.0,), ("1",)):
+        for targets in ((1.7,), (1.0,), ("1",), (True,)):
             with pytest.raises(OutOfRangeError):
                 Gate("h", (), targets)
         assert Gate("cx", (), (np.int64(1), 0)).targets == (1, 0)
@@ -174,6 +174,9 @@ class TestSimulator:
         circ = Circuit(n_qubits=2, gates=())
         for basis in (-1, 4):
             with pytest.raises(DimensionMismatchError):
+                bd.simulate_statevector(circ, basis)
+        for basis in (1.0, True):
+            with pytest.raises(TypeError):
                 bd.simulate_statevector(circ, basis)
 
     def test_cnot_control_first_convention(self):

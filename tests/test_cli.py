@@ -274,6 +274,27 @@ class TestErrorPath:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("tomograph", {"shots": True, "settings": {
+                key: {"pp": True, "pm": 0, "mp": 0, "mm": 0}
+                for key in ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")}}, "integer"),
+            ("measure", {"n_qubits": True, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+             "integer"),
+            ("measure", {"n_qubits": 10**18, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+             "does not match"),
+        ],
+        ids=["bool-counts", "bool-qubits", "huge-qubits"],
+    )
+    def test_bad_integer_in_file_exits_2(self, tmp_path, command, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("measure", "{missing}"),

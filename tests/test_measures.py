@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ginibre_state, random_psd, random_unitary
-from hypothesis import given, settings
+from helpers import ginibre_state, random_psd, random_unitary, rotated_bell_diagonal
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import discord_grid_oracle, negativity_bruteforce
+from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativity_bruteforce
 
 import belldiag as bd
 from belldiag import qmath
@@ -107,6 +107,50 @@ class TestDiscord:
         for _ in range(20):
             rho = ginibre_state(rng)
             assert bd.discord_oz(rho) <= bd.discord_oz(rho, refine=False)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    @example(seed=1648652, rank=2)
+    def test_never_above_the_grid_oracle(self, seed, rank):
+        # Never above the grid's best axis, and never below it by more than the
+        # grid's error. That error can pass 1e-4 at 181x361 (1.1e-4 on the
+        # example), so such a state is checked again on a grid of half the step.
+        rho = ginibre_state(np.random.default_rng(seed), rank=rank)
+        discord = bd.discord_oz(rho)
+        gap = discord - discord_grid_oracle(rho.matrix, n_theta=181, n_phi=361)
+        assert gap <= 1e-12
+        if gap < -1e-4:
+            assert discord - discord_grid_oracle(rho.matrix, n_theta=361, n_phi=721) >= -1e-4
+
+
+class TestZeroMarginalDiscord:
+    def test_oracle_agrees_with_grid_oracle(self, rng):
+        # The closed form is the exact maximum, so the grid can only fall short of it.
+        for _ in range(8):
+            rho = rotated_bell_diagonal(rng)
+            gap = discord_grid_oracle(rho, n_theta=181, n_phi=361) - discord_zero_marginal_oracle(rho)
+            assert -1e-12 <= gap <= 1e-4
+
+    def test_matches_oracle(self, rng):
+        for _ in range(40):
+            rho = rotated_bell_diagonal(rng)
+            expected = discord_zero_marginal_oracle(rho)
+            assert bd.discord_oz(bd.DensityMatrix(rho, validate=False)) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("size", [1e-10, 1e-9, 2e-9, 1e-8])
+    def test_no_jump_at_the_switch(self, rng, size):
+        # Marginals below ROUNDOFF_CLAMP take the closed form, above it the grid.
+        for _ in range(10):
+            rho = rotated_bell_diagonal(rng)
+            a, b = (size * v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+            shift = sum(
+                x * np.kron(p, np.eye(2)) + y * np.kron(np.eye(2), p)
+                for x, y, p in zip(a, b, (qmath.SIGMA_1, qmath.SIGMA_2, qmath.SIGMA_3))
+            )
+            moved = bd.DensityMatrix(rho + shift / 4, validate=False)
+            assert bd.discord_oz(moved) == pytest.approx(discord_zero_marginal_oracle(rho), abs=1e-10)
 
 
 class TestNegativity:

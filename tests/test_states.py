@@ -233,6 +233,8 @@ class TestJsonFormat:
             density_matrix_from_json("{not json")
         with pytest.raises(NotAStateError):
             density_matrix_from_json('{"n_qubits": 1, "re": [[1, 0]], "im": [[0, 0]]}')
+        with pytest.raises(NotAStateError):
+            density_matrix_from_json('{"n_qubits": 0, "re": 1, "im": 0}')
 
     def test_non_integer_qubit_count_rejected(self, rng):
         payload = json.loads(density_matrix_to_json(ginibre_state(rng)))
@@ -240,3 +242,15 @@ class TestJsonFormat:
         with pytest.raises(NotAStateError):
             density_matrix_from_json(json.dumps(payload))
 
+    def test_boolean_qubit_count_rejected(self):
+        # true would read as the integer 1, and this one-qubit matrix would pass.
+        with pytest.raises(NotAStateError, match="integer"):
+            density_matrix_from_json('{"n_qubits": true, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
+
+    @pytest.mark.parametrize("n", [10**18, 3, 1, 0, -1])
+    def test_qubit_count_checked_against_the_shape_first(self, rng, n):
+        # 2**(10**18) is never formed: the matrix side bounds n first.
+        payload = json.loads(density_matrix_to_json(ginibre_state(rng)))
+        payload["n_qubits"] = n
+        with pytest.raises(NotAStateError, match="does not match"):
+            density_matrix_from_json(json.dumps(payload))

@@ -74,7 +74,7 @@ class TestSampleCounts:
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
             bd.sample_counts(bd.werner(0.5), shots=0, seed=1)
-        for shots in (2**63, 2**64, 100.5, 100.0, "100"):
+        for shots in (2**63, 2**64, 100.5, 100.0, "100", True):
             with pytest.raises(OutOfRangeError):
                 bd.sample_counts(bd.werner(0.5), shots=shots, seed=1)
         with pytest.raises(OutOfRangeError):
@@ -247,3 +247,12 @@ class TestCountsJson:
         payload["shots"] = 8192.9
         with pytest.raises(OutOfRangeError):
             counts_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("shots", [True, 1])
+    def test_boolean_numbers_rejected(self, shots):
+        # With true read as 1, every setting sums to the shot count and reconstructs.
+        import json
+
+        settings = {s.key: {"pp": True, "pm": 0, "mp": 0, "mm": 0} for s in SETTINGS}
+        with pytest.raises(OutOfRangeError, match="integer"):
+            counts_from_json(json.dumps({"shots": shots, "settings": settings}))
