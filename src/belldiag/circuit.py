@@ -164,14 +164,10 @@ def _apply(psi: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> 
     return np.moveaxis(t, front, targets).reshape(-1)
 
 
-def simulate_statevector(circ: Circuit, basis: int = 0) -> np.ndarray:
-    """Apply the circuit's gates in order to the computational basis state ``basis``."""
-    dim = 2**circ.n_qubits
-    basis = strict_index(basis)
-    if not 0 <= basis < dim:
-        raise DimensionMismatchError(f"basis index {basis} out of range for dim {dim}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[basis] = 1.0
+def simulate_statevector(circ: Circuit) -> np.ndarray:
+    """Apply the circuit's gates in order to the all-zero computational basis state."""
+    psi = np.zeros(2**circ.n_qubits, dtype=complex)
+    psi[0] = 1.0
     for g in circ.gates:
         psi = _apply(psi, g.matrix(), g.targets, circ.n_qubits)
     return psi

@@ -11,18 +11,18 @@ these closed forms, less ``S(rho_a)``, which no axis changes.
 
 When both Bloch vectors vanish, as on every Bell-diagonal state, the best
 axis maximizes ``|T n|`` (S. Luo, PRA 77, 042303 (2008)): the objective is
-evaluated once, on the top right singular vector of T. Otherwise the
-optimizer evaluates it on a coarse (theta, phi) grid over the half sphere
-(n and -n are the same measurement) and then refines the best
-``DISCORD_REFINE_STARTS`` grid axes together: a 5x5 stencil in the tangent
-plane of each start axis re-centres on its best point and halves its step
-each round.
+evaluated once, on the top right singular vector of T. Otherwise one stencil
+loop searches three fixed charts. Chart k is centred on the unit vector e_k
+with tangents e_{k+1} and e_{k+2}; n and -n are the same measurement, so every
+axis lies in the cell |u|, |v| <= 1 of the chart of its largest component.
+Each round evaluates a 5x5 stencil on all three charts at once, re-centres
+each chart on its best point and halves the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,15 +33,19 @@ from .states import DensityMatrix
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-# Values in (-1e-9, 0) produced by round-off are reported as 0.
+# Negativity below this is round-off and reads 0; discord takes its closed
+# form when both Bloch vectors are shorter than this.
 ROUNDOFF_CLAMP = 1e-9
 
-DISCORD_GRID_THETA = 16
-DISCORD_GRID_PHI = 32
-DISCORD_REFINE_STARTS = 4
+# A chart centre moves at most 2 steps a round, so in all rounds less than
+# 2 * DISCORD_FIRST_STEP * (1 + 1/2 + ...) = pi/2 in each coordinate. That
+# exceeds 1, so it can reach any point of the cell |u|, |v| <= 1.
+DISCORD_FIRST_STEP = math.pi / 8
 DISCORD_REFINE_ROUNDS = 16
-# Stencil offsets in units of the current step; the first step is half the
-# theta spacing of the grid, so the first stencil spans a grid cell either way.
+# Chart k maps (u, v) to the axis e_k + u e_{k+1} + v e_{k+2}, indices mod 3;
+# _CHARTS[k] holds e_k, e_{k+1} and e_{k+2} as rows.
+_CHARTS = np.eye(3)[(np.arange(3)[:, None] + np.arange(3)) % 3]
+# Stencil offsets in units of the current step.
 _STENCIL = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
 # Outcome signs of a measurement on qubit b.
 _SIGNS = np.array([1.0, -1.0])
@@ -59,14 +63,7 @@ class ResourceReport:
     nonlocality: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "coherence_l1": self.coherence_l1,
-            "nonlocal_coherence": self.nonlocal_coherence,
-            "discord": self.discord,
-            "negativity": self.negativity,
-            "steering": self.steering,
-            "nonlocality": self.nonlocality,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,10 +73,6 @@ class BlochDecomposition:
     a_vec: np.ndarray
     b_vec: np.ndarray
     corr: np.ndarray
-
-
-def _clamp_roundoff(x: float) -> float:
-    return 0.0 if -ROUNDOFF_CLAMP < x < 0.0 else x
 
 
 def coherence_l1(rho: DensityMatrix) -> float:
@@ -154,12 +147,6 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(_qubit_entropy(c[1:, 0]) + _qubit_entropy(c[0, 1:]) - joint)
 
 
-def _axes(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit vectors at spherical angles (theta, phi), stacked along a new last axis."""
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
 def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Measured mutual information less ``S(rho_a)``, along each unit axis in ``n`` (..., 3).
 
@@ -179,9 +166,10 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     Bloch vectors vanish to ``ROUNDOFF_CLAMP``, the best axis maximizes
     ``|T n|`` (S. Luo, PRA 77, 042303 (2008)): the top right singular vector
     of T, where the measured mutual information is ``1 - h((1 + s_max)/2)``.
-    Otherwise the maximization evaluates an 8x32 (theta, phi) grid over the
-    half sphere and, with ``refine``, runs a shrinking stencil from the best
-    ``DISCORD_REFINE_STARTS`` grid axes. ``refine`` does not change the
+    Otherwise a 5x5 stencil runs on three fixed charts, centred on the
+    coordinate axes, from a step of ``DISCORD_FIRST_STEP``; with ``refine``
+    it runs ``DISCORD_REFINE_ROUNDS`` more rounds, each re-centred on the best
+    point of its chart at half the step. ``refine`` does not change the
     closed form.
     """
     if not np.all(np.isfinite(rho.matrix)):
@@ -191,40 +179,25 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
         total_mi = mutual_information(rho)
     except np.linalg.LinAlgError as exc:
         raise OptimizerFailureError(f"inner eigenvalue computation failed: {exc}") from exc
-    zero_marginals = max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= ROUNDOFF_CLAMP
-    if zero_marginals:
-        values = _measured_mi(c, np.linalg.svd(c[1:, 1:])[2][0])
+    if max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= ROUNDOFF_CLAMP:
+        best = _measured_mi(c, np.linalg.svd(c[1:, 1:])[2][0])
     else:
-        thetas = np.linspace(0.0, math.pi, DISCORD_GRID_THETA)[: DISCORD_GRID_THETA // 2]
-        phis = np.linspace(0.0, 2 * math.pi, DISCORD_GRID_PHI, endpoint=False)
-        tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-        values = _measured_mi(c, _axes(tt, pp))
-    if not (np.isfinite(total_mi) and np.all(np.isfinite(values))):
-        raise OptimizerFailureError("measured mutual information is not finite")
-
-    best = float(np.max(values))
-    if refine and not zero_marginals:
-        # Each start axis n0 is refined in the chart n0 + u e_theta + v e_phi,
-        # renormalized, which unlike (theta, phi) stays regular at the poles.
-        # The unit tangents are the axes at (theta + pi/2, phi) and
-        # (pi/2, phi + pi/2).
-        starts = np.argsort(values)[::-1][:DISCORD_REFINE_STARTS]
-        theta, phi = tt[starts], pp[starts]
-        n0 = _axes(theta, phi)[:, None, :]
-        e_theta = _axes(theta + math.pi / 2, phi)[:, None, :]
-        e_phi = _axes(np.full_like(phi, math.pi / 2), phi + math.pi / 2)[:, None, :]
-        rows = np.arange(len(starts))
-        centres = np.zeros((len(starts), 1, 2))
-        step = (thetas[1] - thetas[0]) / 2
-        for _ in range(DISCORD_REFINE_ROUNDS):
+        best = -np.inf
+        rows = np.arange(3)
+        centres = np.zeros((3, 1, 2))
+        step = DISCORD_FIRST_STEP
+        for _ in range(1 + DISCORD_REFINE_ROUNDS if refine else 1):
             uv = centres + _STENCIL * step
-            n = n0 + uv[..., :1] * e_theta + uv[..., 1:] * e_phi
+            n = _CHARTS[:, :1] + uv @ _CHARTS[:, 1:]
             trial = _measured_mi(c, n / np.linalg.norm(n, axis=-1, keepdims=True))
+            # np.max, unlike max, keeps a NaN for the check below.
+            best = np.max(trial, initial=best)
             centres = uv[rows, np.argmax(trial, axis=1)][:, None, :]
             step /= 2
-        best = max(best, float(np.max(trial)))
+    if not (np.isfinite(total_mi) and np.isfinite(best)):
+        raise OptimizerFailureError("measured mutual information is not finite")
 
-    return max(0.0, _clamp_roundoff(total_mi - float(_qubit_entropy(c[1:, 0])) - best))
+    return max(0.0, total_mi - float(_qubit_entropy(c[1:, 0])) - float(best))
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:

@@ -156,13 +156,12 @@ class TestBuildBdsCircuit:
 class TestSimulator:
     def test_empty_circuit(self):
         circ = Circuit(n_qubits=2, gates=())
-        for basis in range(4):
-            np.testing.assert_array_equal(bd.simulate_statevector(circ, basis), np.eye(4)[basis])
+        np.testing.assert_array_equal(bd.simulate_statevector(circ), np.eye(4)[0])
 
     def test_hadamard(self):
         circ = Circuit(n_qubits=1, gates=(Gate("h", (), (0,)),))
         np.testing.assert_allclose(
-            bd.simulate_statevector(circ, 0), np.array([1, 1]) / np.sqrt(2), atol=1e-15
+            bd.simulate_statevector(circ), np.array([1, 1]) / np.sqrt(2), atol=1e-15
         )
 
     def test_norm_preserved(self, rng):
@@ -170,19 +169,11 @@ class TestSimulator:
         psi = bd.simulate_statevector(purification_circuit(spec))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
-    def test_input_validation(self):
-        circ = Circuit(n_qubits=2, gates=())
-        for basis in (-1, 4):
-            with pytest.raises(DimensionMismatchError):
-                bd.simulate_statevector(circ, basis)
-        for basis in (1.0, True):
-            with pytest.raises(TypeError):
-                bd.simulate_statevector(circ, basis)
-
     def test_cnot_control_first_convention(self):
-        # control on the higher index still acts as control
-        circ = Circuit(n_qubits=2, gates=(Gate("cx", (), (1, 0)),))
-        psi = bd.simulate_statevector(circ, 1)  # |01>: control qubit 1 is set
+        # control on the higher index still acts as control; r(pi/2) on
+        # qubit 1 first gives |01>, so control qubit 1 is set
+        gates = (Gate("r", (np.pi / 2,), (1,)), Gate("cx", (), (1, 0)))
+        psi = bd.simulate_statevector(Circuit(n_qubits=2, gates=gates))
         expected = np.zeros(4)
         expected[3] = 1.0  # target qubit 0 flips -> |11>
         np.testing.assert_allclose(psi, expected, atol=1e-15)

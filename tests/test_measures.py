@@ -15,7 +15,7 @@ from belldiag.measures import mutual_information
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-# Frozen reference: measured-grid value for the w = 0.5 Werner state,
+# Frozen reference: discord of the w = 0.5 Werner state,
 # cross-checked against the dense-grid oracle in test_discord_matches_oracle.
 WERNER_HALF_DISCORD = 0.26248318
 
@@ -103,6 +103,21 @@ class TestDiscord:
         with pytest.raises(BellDiagError):
             bd.discord_oz(bd.DensityMatrix(bad, validate=False))
 
+    @pytest.mark.parametrize(
+        "axis", [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 0), (0.2, 1, -0.1), (1, 0.3, 0.05)]
+    )
+    def test_classical_quantum_state_anywhere_on_the_sphere(self, rng, axis):
+        # q+ rho_a+ x Pi_n + q- rho_a- x Pi_-n has discord exactly 0 at axis n
+        # and non-zero Bloch vectors, so the general path must find n wherever
+        # it lies: on a chart diagonal, near the equator or off every chart centre.
+        n = np.array(axis) / np.linalg.norm(axis)
+        n_sigma = n[0] * qmath.SIGMA_1 + n[1] * qmath.SIGMA_2 + n[2] * qmath.SIGMA_3
+        rho = sum(
+            q * np.kron(a / np.trace(a).real, (np.eye(2) + sign * n_sigma) / 2)
+            for q, sign, a in zip((0.7, 0.3), (1, -1), (random_psd(rng, 2) for _ in range(2)))
+        )
+        assert bd.discord_oz(bd.DensityMatrix(rho, validate=False)) <= 1e-10
+
     def test_refinement_never_lowers_the_grid_value(self, rng):
         for _ in range(20):
             rho = ginibre_state(rng)
@@ -141,7 +156,8 @@ class TestZeroMarginalDiscord:
 
     @pytest.mark.parametrize("size", [1e-10, 1e-9, 2e-9, 1e-8])
     def test_no_jump_at_the_switch(self, rng, size):
-        # Marginals below ROUNDOFF_CLAMP take the closed form, above it the grid.
+        # Marginals below ROUNDOFF_CLAMP take the closed form, above it the first
+        # stencil round and the refine rounds.
         for _ in range(10):
             rho = rotated_bell_diagonal(rng)
             a, b = (size * v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))

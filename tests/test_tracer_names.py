@@ -32,10 +32,11 @@ def test_traced_functions_resolve():
 
 
 def test_discord_grid_stage_runs_alone():
-    # The tracer times the grid stage as discord_oz(rho, refine=False). A
-    # Ginibre state has non-zero Bloch vectors, so it runs the grid. States
+    # The tracer times the first stencil round as discord_oz(rho, refine=False).
+    # A Ginibre state has non-zero Bloch vectors, so it runs that round. States
     # with zero Bloch vectors take the closed form, which has no refine stage:
-    # off the grid's axes, the grid alone would fall short of the refined value.
+    # off the round's axes, the first stencil round alone would fall short of
+    # the refined value.
     rng = np.random.default_rng(7)
     rho = ginibre_state(rng)
     assert bd.discord_oz(rho, refine=False) > bd.discord_oz(rho)
