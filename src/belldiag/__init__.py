@@ -9,11 +9,9 @@ from .circuit import (
     to_qasm,
 )
 from .measures import (
-    BlochDecomposition,
     ResourceReport,
     bloch_decompose,
     coherence_l1,
-    correlation_vector,
     discord_oz,
     full_report,
     negativity,

@@ -217,12 +217,18 @@ def to_qasm(
     measurements are prefixed by h, Y-basis by sdg then h.
     """
 
+    def as_index(value) -> int:
+        try:
+            return strict_index(value)
+        except TypeError:
+            raise InvalidLayoutError(f"qubit index must be an integer, got {value!r}") from None
+
     def logical_index(key: int | str) -> int:
         if isinstance(key, str):
             if key not in circ.qubit_names:
                 raise InvalidLayoutError(f"unknown qubit name {key!r}")
             return circ.qubit_names.index(key)
-        index = int(key)
+        index = as_index(key)
         if not 0 <= index < circ.n_qubits:
             raise InvalidLayoutError(f"logical qubit {index} is not in the register")
         return index
@@ -233,7 +239,7 @@ def to_qasm(
         else:
             phys = {i: i for i in range(circ.n_qubits)}
     else:
-        phys = {logical_index(k): int(v) for k, v in layout.items()}
+        phys = {logical_index(k): as_index(v) for k, v in layout.items()}
     missing = set(range(circ.n_qubits)) - set(phys)
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
@@ -246,7 +252,7 @@ def to_qasm(
     measured: list[tuple[int, str]] = []
     if measure_basis:
         for key, basis in measure_basis.items():
-            b = basis.upper()
+            b = basis.upper() if isinstance(basis, str) else None
             if b not in _MEASUREMENT_PREFIX:
                 raise InvalidLayoutError(f"unknown measurement basis {basis!r}")
             measured.append((logical_index(key), b))

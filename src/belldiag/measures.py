@@ -1,9 +1,10 @@
 """Quantumness measures: coherence, discord, negativity, steering, nonlocality.
 
-Discord follows the measured-mutual-information definition: the maximum is
-taken over rank-one projective measurements on qubit b. In Bloch form
-``rho = (a, b, T)``, read off the Pauli coefficients, measuring qubit b along
-the unit axis n leaves qubit a in the conditional states
+``bloch_decompose`` returns the Pauli blocks of a state: the Bloch vectors a,
+b and the correlation matrix T. Steering and nonlocality read the singular
+values of T. Discord follows the measured-mutual-information definition: the
+maximum is taken over rank-one projective measurements on qubit b. Measuring
+qubit b along the unit axis n leaves qubit a in the conditional states
 ``(1/4)[(1 +- b.n) I + (a +- T n).sigma]`` with probabilities
 ``(1 +- b.n)/2`` and eigenvalues ``(1 +- b.n +- |a +- T n|)/4``. One real
 objective, vectorized over axes, gives the measured mutual information from
@@ -66,15 +67,6 @@ class ResourceReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Local Bloch vectors and the 3x3 Pauli correlation matrix."""
-
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-    corr: np.ndarray
-
-
 def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of moduli of off-diagonal entries in the computational basis."""
     off = np.abs(rho.matrix.copy())
@@ -92,20 +84,10 @@ def nonlocal_coherence(rho: DensityMatrix) -> float:
     return coherence_l1(rho) - math.hypot(c[1, 0], c[2, 0]) - math.hypot(c[0, 1], c[0, 2])
 
 
-def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Pauli expansion coefficients of a two-qubit state."""
+def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors ``a``, ``b`` and correlation matrix ``T`` of a two-qubit state."""
     c = qmath.pauli_coefficients(rho.matrix)
-    return BlochDecomposition(a_vec=c[1:, 0], b_vec=c[0, 1:], corr=c[1:, 1:])
-
-
-def correlation_vector(corr: np.ndarray) -> np.ndarray:
-    """Singular values of the 3x3 correlation matrix, descending.
-
-    For symmetric matrices these coincide with the absolute eigenvalues;
-    singular values keep the steering and nonlocality formulas well defined
-    for the non-symmetric matrices tomography can produce.
-    """
-    return np.linalg.svd(np.asarray(corr, dtype=float), compute_uv=False)
+    return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -122,13 +104,14 @@ def negativity(rho: DensityMatrix) -> float:
 
 def steering(rho: DensityMatrix) -> float:
     """Steering degree for three measurements per qubit."""
-    c = correlation_vector(bloch_decompose(rho).corr)
+    # Singular values, not absolute eigenvalues: tomography can return a non-symmetric T.
+    c = np.linalg.svd(bloch_decompose(rho)[2], compute_uv=False)
     return max(0.0, (float(np.linalg.norm(c)) - 1.0) / (SQRT3 - 1.0))
 
 
 def nonlocality(rho: DensityMatrix) -> float:
     """Bell-inequality violation degree for two measurements per qubit."""
-    c = correlation_vector(bloch_decompose(rho).corr)
+    c = np.linalg.svd(bloch_decompose(rho)[2], compute_uv=False)
     c_min_sq = float(np.min(c) ** 2)
     norm_sq = float(np.dot(c, c))
     return max(0.0, (math.sqrt(max(0.0, norm_sq - c_min_sq)) - 1.0) / (SQRT2 - 1.0))

@@ -22,7 +22,7 @@ COMPLETENESS_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators."""
+    """A completely positive trace-preserving single-qubit map given by Kraus operators."""
 
     operators: tuple[np.ndarray, ...]
 
@@ -30,22 +30,17 @@ class KrausChannel:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
         if not ops:
             raise OutOfRangeError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        if any(k.shape != (dim, dim) for k in ops):
-            raise DimensionMismatchError("all Kraus operators must share one square shape")
+        if any(k.shape != (2, 2) for k in ops):
+            raise DimensionMismatchError("Kraus operators must be 2x2: channels act on one qubit")
         if not all(np.all(np.isfinite(k)) for k in ops):
             raise OutOfRangeError("Kraus operators must have finite entries")
         total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+        defect = float(np.max(np.abs(total - np.eye(2))))
         if defect > COMPLETENESS_ATOL:
             raise OutOfRangeError(f"channel is not trace preserving: |sum K†K - I| = {defect:.3e}")
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
 
 
 def composite_damping(a: float, p: float) -> KrausChannel:
@@ -60,8 +55,6 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
     """Apply a single-qubit channel to one qubit of a multi-qubit state."""
-    if channel.dim != 2:
-        raise DimensionMismatchError("apply_channel embeds single-qubit channels only")
     if not 0 <= qubit < rho.n_qubits:
         raise DimensionMismatchError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
     # Row and column index split as (qubits before, qubit, qubits after).

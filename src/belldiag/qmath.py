@@ -8,6 +8,9 @@ This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
 coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
 ``from_pauli_coefficients`` convert between the two forms.
+
+``STATE_MIN_EIGENVALUE`` is the one physical-spectrum floor, read by
+``DensityMatrix``, ``tomography.reconstruct`` and ``matrix_sqrt_psd``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    NegativeSpectrumError,
-    NotHermitianError,
-)
+from .exceptions import DimensionMismatchError, NegativeSpectrumError, NotHermitianError
 
 # Tolerances sized to absorb round-off from 16-dimensional simulations.
 HERMITICITY_ATOL = 1e-9
-EIGENVALUE_CLIP_FLOOR = -1e-9
+STATE_MIN_EIGENVALUE = -1e-8
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -68,11 +67,11 @@ def trace_norm(m: np.ndarray) -> float:
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[EIGENVALUE_CLIP_FLOOR, 0)`` are treated as round-off and
+    Eigenvalues in ``[STATE_MIN_EIGENVALUE, 0)`` are treated as round-off and
     clipped to zero; anything lower raises ``NegativeSpectrumError``.
     """
     w, v = np.linalg.eigh(require_hermitian(m))
-    if w[0] < EIGENVALUE_CLIP_FLOOR:
+    if w[0] < STATE_MIN_EIGENVALUE:
         raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
     s = np.sqrt(np.clip(w, 0.0, None))
     return (v * s) @ v.conj().T

@@ -25,7 +25,6 @@ from .exceptions import (
 )
 
 PROBABILITY_ATOL = 1e-12
-STATE_MIN_EIGENVALUE = -1e-8
 
 BELL_INDICES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -78,8 +77,8 @@ class DensityMatrix:
             if abs(tr - 1.0) > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"trace is {tr!r}, expected 1")
             min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < STATE_MIN_EIGENVALUE:
-                raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {STATE_MIN_EIGENVALUE}")
+            if min_eig < qmath.STATE_MIN_EIGENVALUE:
+                raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
         m.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
@@ -164,9 +163,12 @@ def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
     try:
         payload = json.loads(text)
         n = strict_index(payload["n_qubits"])
+        # np.array would also convert the strings "0.25" and booleans to floats.
+        if any(type(x) not in (int, float) for k in ("re", "im") for row in payload[k] for x in row):
+            raise TypeError("matrix entries must be JSON numbers")
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise NotAStateError(f"malformed density-matrix JSON: {exc}") from exc
     # n is checked against the side before 2**n is formed: a huge n_qubits costs nothing.
     side = re.shape[0] if re.ndim == 2 else 0

@@ -2,9 +2,10 @@
 
 The nine two-qubit measurement settings pair one of X, Y, Z on each side.
 Counts are recorded per setting in the outcome order ++, +-, -+, -- (the
-signs are the local Pauli eigenvalues). Linear inversion reconstructs
-``rho = (1/4) sum_jk c_jk sigma_j x sigma_k`` and projects onto the
-physical set when the raw matrix has a meaningfully negative eigenvalue.
+signs are the local Pauli eigenvalues). The outcome probabilities of all nine
+settings are one table read off the Pauli coefficients. Linear inversion
+reconstructs ``rho = (1/4) sum_jk c_jk sigma_j x sigma_k`` and projects onto
+the physical set below the floor ``qmath.STATE_MIN_EIGENVALUE``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .states import STATE_MIN_EIGENVALUE, DensityMatrix, strict_index
+from .states import DensityMatrix, strict_index
 
 BASES = ("X", "Y", "Z")
-_BASIS_INDEX = {"X": 1, "Y": 2, "Z": 3}
 
 # Outcome order for the four counts of one setting.
 OUTCOMES = ("pp", "pm", "mp", "mm")
@@ -53,8 +53,8 @@ class TomographyCounts:
     counts: Mapping[MeasurementSetting, tuple[int, int, int, int]]
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
-            raise OutOfRangeError("shots_per_setting must be positive")
+        if not 1 <= self.shots_per_setting <= np.iinfo(np.int64).max:
+            raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
         missing = set(SETTINGS) - set(self.counts)
         if missing:
             raise OutOfRangeError(
@@ -98,17 +98,18 @@ class ReconstructionResult:
     raw_matrix: np.ndarray
 
 
-def _born_from_coefficients(c: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
-    """``p(s_a, s_b) = (1 + s_a c_j0 + s_b c_0k + s_a s_b c_jk) / 4`` in outcome order."""
-    j = _BASIS_INDEX[setting.basis_a]
-    k = _BASIS_INDEX[setting.basis_b]
-    probs = (1 + _SIGNS_A * c[j, 0] + _SIGNS_B * c[0, k] + _SIGNS_A * _SIGNS_B * c[j, k]) / 4
-    return np.clip(probs, 0.0, None)
+def _born_table(c: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of all settings, shape (3, 3, 4), in ``SETTINGS`` order.
+
+    ``p(s_a, s_b) = (1 + s_a c_j0 + s_b c_0k + s_a s_b c_jk) / 4`` for (sigma_j, sigma_k).
+    """
+    a, b, t = c[1:, 0, None, None], c[0, 1:, None], c[1:, 1:, None]
+    return np.clip((1 + a * _SIGNS_A + b * _SIGNS_B + t * (_SIGNS_A * _SIGNS_B)) / 4, 0.0, None)
 
 
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
     """Joint outcome probabilities (++, +-, -+, --) for one setting."""
-    return _born_from_coefficients(qmath.pauli_coefficients(rho.matrix), setting)
+    return _born_table(qmath.pauli_coefficients(rho.matrix)).reshape(9, 4)[SETTINGS.index(setting)]
 
 
 def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts:
@@ -124,10 +125,9 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
         raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
     if not 1 <= shots <= np.iinfo(np.int64).max:  # the most trials numpy's multinomial takes
         raise OutOfRangeError(f"shots must be in [1, 2**63 - 1], got {shots}")
-    c = qmath.pauli_coefficients(rho.matrix)
+    table = _born_table(qmath.pauli_coefficients(rho.matrix))
     counts = {}
-    for idx, setting in enumerate(SETTINGS):
-        probs = _born_from_coefficients(c, setting)
+    for idx, (setting, probs) in enumerate(zip(SETTINGS, table.reshape(9, 4))):
         probs = probs / probs.sum()
         key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, idx])
         rng = np.random.Generator(np.random.Philox(key))
@@ -165,20 +165,13 @@ def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
     trace; the unmodified linear-inversion matrix is kept for inspection.
     """
     raw = qmath.from_pauli_coefficients(corr.values)
-
     w, v = np.linalg.eigh(raw)
-    if w[0] < STATE_MIN_EIGENVALUE:
+    projected = bool(w[0] < qmath.STATE_MIN_EIGENVALUE)
+    physical = raw
+    if projected:
         w = np.clip(w, 0.0, None)
-        w = w / np.sum(w)
-        physical = (v * w) @ v.conj().T
-        return ReconstructionResult(
-            state=DensityMatrix(physical, validate=False),
-            projected=True,
-            raw_matrix=raw,
-        )
-    return ReconstructionResult(
-        state=DensityMatrix(raw, validate=False), projected=False, raw_matrix=raw
-    )
+        physical = (v * (w / np.sum(w))) @ v.conj().T
+    return ReconstructionResult(DensityMatrix(physical, validate=False), projected, raw)
 
 
 def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> DensityMatrix:

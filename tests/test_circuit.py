@@ -320,6 +320,19 @@ class TestQasm:
         for key in (9, -1):
             with pytest.raises(InvalidLayoutError):
                 to_qasm(circ, measure_basis={key: "Z"})
+        # Layout and measurement keys and values are integers, as Gate targets are:
+        # int() would read 1.7 and 0.9 as qubits 1 and 0, and True as 1.
+        for layout in ({0: 1.7, 1: 3, 2: 2, 3: 4}, {0.9: 1, 1: 3, 2: 2, 3: 4},
+                       {True: 1, 0: 3, 2: 2, 3: 4}):
+            with pytest.raises(InvalidLayoutError, match="integer"):
+                to_qasm(circ, layout=layout)
+        for key in (0.5, True):
+            with pytest.raises(InvalidLayoutError, match="integer"):
+                to_qasm(circ, measure_basis={key: "Z"})
+        for basis in (1, None, ["Z"], "W"):
+            with pytest.raises(InvalidLayoutError, match="basis"):
+                to_qasm(circ, measure_basis={0: basis})
+        assert to_qasm(circ, layout={np.int64(0): 1, 1: np.int64(3), 2: 2, 3: 4}) == to_qasm(circ)
 
     def test_repeated_qubit_names_rejected(self):
         # With a repeated name, no name reaches the second of the two qubits.

@@ -283,8 +283,12 @@ class TestErrorPath:
              "integer"),
             ("measure", {"n_qubits": 10**18, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
              "does not match"),
+            # Too large for a float: estimate_correlations would overflow.
+            ("tomograph", {"shots": 10**400, "settings": {
+                key: {"pp": 10**400, "pm": 0, "mp": 0, "mm": 0}
+                for key in ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")}}, "2**63 - 1"),
         ],
-        ids=["bool-counts", "bool-qubits", "huge-qubits"],
+        ids=["bool-counts", "bool-qubits", "huge-qubits", "huge-shots"],
     )
     def test_bad_integer_in_file_exits_2(self, tmp_path, command, payload, message):
         path = tmp_path / "input.json"
@@ -293,6 +297,17 @@ class TestErrorPath:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("entry", ["0.25", True, 10**400], ids=["string", "bool", "huge-int"])
+    def test_non_number_matrix_entry_exits_2(self, tmp_path, entry):
+        payload = json.loads(density_matrix_to_json(bd.werner(0.0)))
+        payload["re"][0][0] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli("measure", str(path))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "malformed" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -199,52 +199,71 @@ class TestNegativity:
 
 class TestBlochDecomposition:
     def test_maximally_mixed(self):
-        dec = bd.bloch_decompose(bd.werner(0.0))
-        np.testing.assert_allclose(dec.a_vec, 0, atol=1e-12)
-        np.testing.assert_allclose(dec.b_vec, 0, atol=1e-12)
-        np.testing.assert_allclose(dec.corr, 0, atol=1e-12)
+        a, b, t = bd.bloch_decompose(bd.werner(0.0))
+        np.testing.assert_allclose(a, 0, atol=1e-12)
+        np.testing.assert_allclose(b, 0, atol=1e-12)
+        np.testing.assert_allclose(t, 0, atol=1e-12)
 
     def test_werner(self):
-        dec = bd.bloch_decompose(bd.werner(0.7))
-        np.testing.assert_allclose(dec.corr, -0.7 * np.eye(3), atol=1e-12)
+        _, _, t = bd.bloch_decompose(bd.werner(0.7))
+        np.testing.assert_allclose(t, -0.7 * np.eye(3), atol=1e-12)
 
     def test_computational_product(self):
         rho = bd.DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), validate=False)
-        dec = bd.bloch_decompose(rho)
-        np.testing.assert_allclose(dec.a_vec, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(dec.b_vec, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(dec.corr, np.diag([0, 0, 1.0]), atol=1e-12)
+        a, b, t = bd.bloch_decompose(rho)
+        np.testing.assert_allclose(a, [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(b, [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(t, np.diag([0, 0, 1.0]), atol=1e-12)
 
     def test_reconstruction(self, rng):
         for _ in range(20):
             rho = ginibre_state(rng)
-            dec = bd.bloch_decompose(rho)
+            a, b, t = bd.bloch_decompose(rho)
             rebuilt = np.eye(4, dtype=complex)
             for j in range(3):
-                rebuilt += dec.a_vec[j] * np.kron(qmath.PAULIS[j + 1], qmath.SIGMA_0)
-                rebuilt += dec.b_vec[j] * np.kron(qmath.SIGMA_0, qmath.PAULIS[j + 1])
+                rebuilt += a[j] * np.kron(qmath.PAULIS[j + 1], qmath.SIGMA_0)
+                rebuilt += b[j] * np.kron(qmath.SIGMA_0, qmath.PAULIS[j + 1])
                 for k in range(3):
-                    rebuilt += dec.corr[j, k] * np.kron(qmath.PAULIS[j + 1], qmath.PAULIS[k + 1])
+                    rebuilt += t[j, k] * np.kron(qmath.PAULIS[j + 1], qmath.PAULIS[k + 1])
             np.testing.assert_allclose(rebuilt / 4, rho.matrix, atol=1e-10)
 
 
+def state_from_blocks(a, b, t):
+    """The operator with Pauli blocks (a, b, T), unvalidated: some (a, b, T) are not states."""
+    c = np.zeros((4, 4))
+    c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = 1.0, a, b, t
+    return bd.DensityMatrix(qmath.from_pauli_coefficients(c), validate=False)
+
+
 class TestCorrelationVector:
+    """Steering and nonlocality read only the singular values of T."""
+
     def test_diagonal(self):
-        np.testing.assert_allclose(
-            bd.correlation_vector(np.diag([-0.6, -0.6, -0.6])), [0.6] * 3, atol=1e-14
-        )
+        # Singular values 0.9, 0.8, 0.7, whatever the signs and the order on the diagonal.
+        steering = (math.sqrt(0.81 + 0.64 + 0.49) - 1) / (SQRT3 - 1)
+        nonlocality = (math.sqrt(0.81 + 0.64) - 1) / (SQRT2 - 1)
+        for diag in ([0.9, -0.8, 0.7], [-0.7, -0.9, -0.8], [0.8, 0.7, -0.9]):
+            rho = state_from_blocks(np.zeros(3), np.zeros(3), np.diag(diag))
+            assert bd.steering(rho) == pytest.approx(steering, abs=1e-12)
+            assert bd.nonlocality(rho) == pytest.approx(nonlocality, abs=1e-12)
 
     def test_zero(self):
-        np.testing.assert_allclose(bd.correlation_vector(np.zeros((3, 3))), np.zeros(3))
+        # Non-zero Bloch vectors do not count: |0><0| x I/2 has T = 0.
+        for a in (np.zeros(3), np.array([0.0, 0.0, 1.0])):
+            rho = state_from_blocks(a, np.zeros(3), np.zeros((3, 3)))
+            assert bd.steering(rho) == 0.0
+            assert bd.nonlocality(rho) == 0.0
 
     def test_orthogonal_invariance(self, rng):
-        base = np.diag([0.9, 0.5, 0.1])
+        # q1 @ T @ q2 is not symmetric, and with det q = -1 no local unitary reaches it.
+        base = state_from_blocks(np.zeros(3), np.zeros(3), np.diag([0.9, 0.5, 0.1]))
+        assert bd.steering(base) > 0 and bd.nonlocality(base) > 0
         for _ in range(20):
             q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            np.testing.assert_allclose(
-                bd.correlation_vector(q1 @ base @ q2), [0.9, 0.5, 0.1], atol=1e-12
-            )
+            rho = state_from_blocks(np.zeros(3), np.zeros(3), q1 @ np.diag([0.9, 0.5, 0.1]) @ q2)
+            assert bd.steering(rho) == pytest.approx(bd.steering(base), abs=1e-12)
+            assert bd.nonlocality(rho) == pytest.approx(bd.nonlocality(base), abs=1e-12)
 
 
 class TestSteeringAndNonlocality:

@@ -57,6 +57,12 @@ class TestCompositeDamping:
         with pytest.raises(OutOfRangeError):
             KrausChannel(operators=(np.eye(2, dtype=complex) * 0.5,))
 
+    @pytest.mark.parametrize("op", [np.eye(4), np.eye(1), np.ones((2, 3))], ids=["4x4", "1x1", "2x3"])
+    def test_operators_act_on_one_qubit(self, op):
+        # The 4x4 and 1x1 identities are complete channels, but not on one qubit.
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(operators=(op,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_rejected(self, bad):
         k = np.eye(2, dtype=complex)
@@ -70,8 +76,8 @@ class TestApplyChannel:
         channel = bd.composite_damping(0.3, 0.3)
         for w in (0.25, 0.5, 1.0):
             out = bd.apply_channel(channel, bd.werner(w), qubit=0)
-            dec = bd.bloch_decompose(out)
-            np.testing.assert_allclose(dec.corr, -0.7 * w * np.eye(3), atol=1e-12)
+            _, _, t = bd.bloch_decompose(out)
+            np.testing.assert_allclose(t, -0.7 * w * np.eye(3), atol=1e-12)
 
     def test_quarter_noise_keeps_nonlocality(self):
         out = bd.apply_channel(bd.composite_damping(0.25, 0.25), bd.werner(1.0), qubit=0)
@@ -135,12 +141,12 @@ class TestDecoheredSweep:
 
     def test_target_qubit_flag(self):
         out_b = bd.apply_channel(bd.composite_damping(0.3, 0.3), bd.werner(0.6), qubit=1)
-        dec = bd.bloch_decompose(out_b)
+        a, b, t = bd.bloch_decompose(out_b)
         # damping the second qubit scales correlations identically but moves
         # the local Bloch shift to b instead of a
-        np.testing.assert_allclose(dec.corr, -0.7 * 0.6 * np.eye(3), atol=1e-12)
-        assert dec.b_vec[2] == pytest.approx(0.3, abs=1e-12)
-        assert abs(dec.a_vec[2]) < 1e-12
+        np.testing.assert_allclose(t, -0.7 * 0.6 * np.eye(3), atol=1e-12)
+        assert b[2] == pytest.approx(0.3, abs=1e-12)
+        assert abs(a[2]) < 1e-12
 
 
 rates = st.floats(0.0, 1.0, allow_nan=False)

@@ -220,6 +220,14 @@ class TestFidelity:
         with pytest.raises(DimensionMismatchError):
             bd.fidelity(one_qubit, bd.werner(0.5))
 
+    def test_takes_every_state_density_matrix_accepts(self):
+        # -5e-9 is round-off to DensityMatrix and to reconstruct, so fidelity
+        # must take it in either slot.
+        rho = bd.DensityMatrix(np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9]).astype(complex))
+        assert not bd.reconstruct(bd.exact_correlations(rho)).projected
+        target = bd.werner(0.5)
+        assert bd.fidelity(rho, target) == pytest.approx(bd.fidelity(target, rho), abs=1e-12)
+
 
 class TestJsonFormat:
     def test_round_trip(self, rng):
@@ -246,6 +254,14 @@ class TestJsonFormat:
         # true would read as the integer 1, and this one-qubit matrix would pass.
         with pytest.raises(NotAStateError, match="integer"):
             density_matrix_from_json('{"n_qubits": true, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
+
+    @pytest.mark.parametrize("entry", ["0.25", True, 10**400], ids=["string", "bool", "huge-int"])
+    def test_matrix_entries_must_be_json_numbers(self, entry):
+        # np.array(..., dtype=float) would read "0.25" as 0.25 and true as 1.0.
+        payload = json.loads(density_matrix_to_json(bd.werner(0.0)))
+        payload["re"][0][0] = entry
+        with pytest.raises(NotAStateError, match="malformed"):
+            density_matrix_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("n", [10**18, 3, 1, 0, -1])
     def test_qubit_count_checked_against_the_shape_first(self, rng, n):
