@@ -58,8 +58,11 @@ def _parse_layout(text: str) -> dict[str, int]:
     layout = {}
     for item in text.split(","):
         name, _, phys = item.partition(":")
+        name = name.strip()
+        if name in layout:
+            raise BellDiagError(f"--layout places qubit {name!r} twice")
         try:
-            layout[name.strip()] = int(phys)
+            layout[name] = int(phys)
         except ValueError:
             raise BellDiagError(f"bad layout entry {item!r}, expected name:index") from None
     return layout
@@ -82,13 +85,15 @@ def _write_output(text: str, out_path: str | None) -> int:
 
 
 def cmd_prepare(args) -> int:
+    if args.layout is not None and not args.qasm:
+        raise BellDiagError("--layout places the OpenQASM qubits and needs --qasm")
     if args.werner is not None:
         spec = states.werner_spec(args.werner)
     else:
         spec = _parse_probs(args.p)
     circ = circuit_mod.purification_circuit(spec)
     rho = circuit_mod.prepared_state(spec)
-    layout = _parse_layout(args.layout) if args.layout else None
+    layout = _parse_layout(args.layout) if args.layout is not None else None
     qasm = circuit_mod.to_qasm(circ, layout=layout) if args.qasm else None
     doc = {
         # The first gate is R(theta/2) on qubit a.

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qmath
-from .exceptions import DimensionMismatchError, OptimizerFailureError
+from .exceptions import OptimizerFailureError
 from .states import DensityMatrix
 
 SQRT2 = math.sqrt(2.0)
@@ -95,8 +95,6 @@ def negativity(rho: DensityMatrix) -> float:
 
     A value below ``ROUNDOFF_CLAMP``, round-off on a separable state, reads 0.
     """
-    if rho.n_qubits != 2:
-        raise DimensionMismatchError("negativity is defined for two qubits")
     pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     excess = qmath.trace_norm(pt) - 1.0
     return excess if excess >= ROUNDOFF_CLAMP else 0.0

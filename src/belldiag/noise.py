@@ -54,9 +54,9 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
-    """Apply a single-qubit channel to one qubit of a multi-qubit state."""
-    if not 0 <= qubit < rho.n_qubits:
-        raise DimensionMismatchError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
+    """Apply a single-qubit channel to qubit 0 (a) or 1 (b) of a two-qubit state."""
+    if qubit not in (0, 1):
+        raise DimensionMismatchError(f"qubit {qubit} out of range for two qubits")
     # Row and column index split as (qubits before, qubit, qubits after).
     split = (2**qubit, 2, 2 ** (rho.n_qubits - qubit - 1))
     t = rho.matrix.reshape(split + split)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .exceptions import (
-    DimensionMismatchError,
-    InvalidProbabilitiesError,
-    NotAStateError,
-    OutOfRangeError,
-)
+from .exceptions import InvalidProbabilitiesError, NotAStateError, OutOfRangeError
 
 PROBABILITY_ATOL = 1e-12
 
@@ -54,19 +49,15 @@ class BdsSpec:
 
 
 class DensityMatrix:
-    """A validated trace-one Hermitian PSD matrix on ``n_qubits`` qubits."""
+    """A validated trace-one Hermitian PSD matrix on two qubits; any other shape is rejected."""
 
-    __slots__ = ("n_qubits", "matrix")
+    __slots__ = ("matrix",)
+    n_qubits = 2
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
         m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotAStateError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 2:
-            raise NotAStateError(f"dimension {m.shape[0]} holds no qubit")
-        n = int(np.log2(m.shape[0]))
-        if 2**n != m.shape[0]:
-            raise NotAStateError(f"dimension {m.shape[0]} is not a power of two")
+        if m.shape != (4, 4):
+            raise NotAStateError(f"expected a two-qubit 4x4 matrix, got shape {m.shape}")
         if validate:
             if not np.all(np.isfinite(m)):
                 raise NotAStateError("matrix has non-finite entries")
@@ -80,7 +71,6 @@ class DensityMatrix:
             if min_eig < qmath.STATE_MIN_EIGENVALUE:
                 raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
         m.setflags(write=False)
-        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
 
     def __setattr__(self, name, value):
@@ -137,10 +127,6 @@ def werner(w: float) -> DensityMatrix:
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))``, clamped to [0, 1]."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {rho.n_qubits} vs {sigma.n_qubits}"
-        )
     root = qmath.matrix_sqrt_psd(rho.matrix)
     inner = root @ sigma.matrix @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
@@ -149,7 +135,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:
-    """Serialize a state as ``{"n_qubits": n, "re": [[..]], "im": [[..]]}``."""
+    """Serialize a state as ``{"n_qubits": 2, "re": [[..]], "im": [[..]]}``."""
     payload = {
         "n_qubits": rho.n_qubits,
         "re": [[float(x) for x in row] for row in rho.matrix.real],
@@ -170,9 +156,6 @@ def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
         im = np.array(payload["im"], dtype=float)
     except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise NotAStateError(f"malformed density-matrix JSON: {exc}") from exc
-    # n is checked against the side before 2**n is formed: a huge n_qubits costs nothing.
-    side = re.shape[0] if re.ndim == 2 else 0
-    if (re.shape != (side, side) or im.shape != re.shape
-            or n != side.bit_length() - 1 or side != 2**n):
-        raise NotAStateError(f"matrix shape {re.shape} does not match n_qubits={n}")
+    if n != 2 or re.shape != (4, 4) or im.shape != (4, 4):
+        raise NotAStateError(f"n_qubits={n}, shapes {re.shape}, {im.shape} does not match two qubits, 4x4")
     return DensityMatrix(re + 1j * im)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -29,11 +29,16 @@ _SIGNS_A = np.array([1, 1, -1, -1])
 _SIGNS_B = np.array([1, -1, 1, -1])
 
 
-class MeasurementSetting(NamedTuple):
+@dataclass(frozen=True)
+class MeasurementSetting:
     """Local measurement bases for the two qubits, each one of X, Y, Z."""
 
     basis_a: str
     basis_b: str
+
+    def __post_init__(self):
+        if self.basis_a not in BASES or self.basis_b not in BASES:
+            raise OutOfRangeError(f"bases must be among {BASES}, got {self.basis_a!r}, {self.basis_b!r}")
 
     @property
     def key(self) -> str:
@@ -53,21 +58,22 @@ class TomographyCounts:
     counts: Mapping[MeasurementSetting, tuple[int, int, int, int]]
 
     def __post_init__(self):
-        if not 1 <= self.shots_per_setting <= np.iinfo(np.int64).max:
+        try:
+            shots = strict_index(self.shots_per_setting)
+            counts = {s: tuple(map(strict_index, values)) for s, values in self.counts.items()}
+        except TypeError as exc:
+            raise OutOfRangeError(f"shots and counts must be integers: {exc}") from None
+        if not 1 <= shots <= np.iinfo(np.int64).max:
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
-        missing = set(SETTINGS) - set(self.counts)
-        if missing:
-            raise OutOfRangeError(
-                f"missing settings: {sorted(s.key for s in missing)}"
-            )
-        for setting, values in self.counts.items():
+        if set(counts) != set(SETTINGS):
+            missing = sorted(s.key for s in set(SETTINGS) - set(counts))
+            extra = [s for s in counts if s not in SETTINGS]
+            raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra {extra}")
+        for setting, values in counts.items():
             if len(values) != 4 or any(v < 0 for v in values):
                 raise OutOfRangeError(f"setting {setting.key} needs 4 nonnegative counts")
-            if sum(values) != self.shots_per_setting:
-                raise OutOfRangeError(
-                    f"setting {setting.key} counts sum to {sum(values)}, "
-                    f"expected {self.shots_per_setting}"
-                )
+            if sum(values) != shots:
+                raise OutOfRangeError(f"setting {setting.key} counts sum to {sum(values)}, expected {shots}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +209,9 @@ def counts_from_json(text: str | bytes) -> TomographyCounts:
     """Parse the counts JSON format, validating its invariants."""
     try:
         payload = json.loads(text)
-        shots = strict_index(payload["shots"])
+        shots = payload["shots"]
         settings = payload["settings"]
-        counts = {}
-        for setting in SETTINGS:
-            entry = settings[setting.key]
-            counts[setting] = tuple(strict_index(entry[o]) for o in OUTCOMES)
+        counts = {s: tuple(settings[s.key][o] for o in OUTCOMES) for s in SETTINGS}
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise OutOfRangeError(f"malformed counts JSON: {exc}") from exc
     return TomographyCounts(shots_per_setting=shots, counts=counts)

@@ -177,9 +177,9 @@ class TestMeasure:
 
     def test_non_psd_file_exit_2(self, tmp_path, capsys):
         bad = {
-            "n_qubits": 1,
-            "re": [[1.2, 0.0], [0.0, -0.2]],
-            "im": [[0.0, 0.0], [0.0, 0.0]],
+            "n_qubits": 2,
+            "re": np.diag([1.2, -0.2, 0.0, 0.0]).tolist(),
+            "im": [[0.0] * 4] * 4,
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -230,13 +230,15 @@ class TestErrorPath:
         "argv",
         [
             ("prepare", "--p", "abc,0,0,1"),
-            ("prepare", "--werner", "0.5", "--layout", "a:x"),
+            ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:x"),
             ("sweep", "--noise", "x,0"),
             ("prepare", "--p", "nan,0,0,1"),
             ("sweep", "--p", "nan,0,0,1", "--points", "2", "--shots", "0"),
             ("sweep", "--noise=-0.5,0", "--points", "2", "--shots", "0"),
             ("sweep", "--points", "2", "--shots", "18446744073709551616"),
             ("sweep", "--points", "2", "--shots", "9223372036854775808"),
+            ("prepare", "--werner", "0.5", "--layout", "zz:9"),
+            ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:4,a:0"),
         ],
         ids=[
             "text-probs",
@@ -247,6 +249,8 @@ class TestErrorPath:
             "negative-noise",
             "shots-2**64",
             "shots-2**63",
+            "layout-without-qasm",
+            "layout-repeated-name",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv):

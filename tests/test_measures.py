@@ -9,7 +9,7 @@ from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativit
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import BellDiagError, DimensionMismatchError, OptimizerFailureError
+from belldiag.exceptions import BellDiagError, NotAStateError, OptimizerFailureError
 from belldiag.measures import mutual_information
 
 SQRT2 = math.sqrt(2.0)
@@ -192,8 +192,9 @@ class TestNegativity:
             )
 
     def test_rejects_other_qubit_counts(self):
+        # DensityMatrix is the one place that checks the size: negativity never sees it.
         for dim in (2, 8):
-            with pytest.raises(DimensionMismatchError):
+            with pytest.raises(NotAStateError):
                 bd.negativity(bd.DensityMatrix(np.eye(dim, dtype=complex) / dim))
 
 

@@ -16,8 +16,16 @@ SQRT3 = math.sqrt(3.0)
 
 
 def single_qubit(diag0, diag1, off):
-    m = np.array([[diag0, off], [np.conj(off), diag1]], dtype=complex)
-    return bd.DensityMatrix(m, validate=False)
+    return np.array([[diag0, off], [np.conj(off), diag1]], dtype=complex)
+
+
+def product(m_a, m_b):
+    """Two-qubit product state ``m_a x m_b``."""
+    return bd.DensityMatrix(np.kron(m_a, m_b), validate=False)
+
+
+# The partner qubit, which a channel on the other qubit leaves alone.
+PARTNER = single_qubit(0.6, 0.4, 0.3 - 0.1j)
 
 
 class TestCompositeDamping:
@@ -36,17 +44,23 @@ class TestCompositeDamping:
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_full_amplitude_decay(self):
+        damped = single_qubit(0.2, 0.8, 0.1 + 0.2j)
+        ground = np.diag([1.0, 0.0])
         for p in (0.0, 0.5, 1.0):
             channel = bd.composite_damping(1.0, p)
-            rho = single_qubit(0.2, 0.8, 0.1 + 0.2j)
-            out = bd.apply_channel(channel, rho, qubit=0)
-            np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+            out = bd.apply_channel(channel, product(damped, PARTNER), qubit=0)
+            np.testing.assert_allclose(out.matrix, np.kron(ground, PARTNER), atol=1e-12)
+            out = bd.apply_channel(channel, product(PARTNER, damped), qubit=1)
+            np.testing.assert_allclose(out.matrix, np.kron(PARTNER, ground), atol=1e-12)
 
     def test_off_diagonal_scale(self):
         channel = bd.composite_damping(0.3, 0.3)
         plus = single_qubit(0.5, 0.5, 0.5)
-        out = bd.apply_channel(channel, plus, qubit=0)
-        assert out.matrix[0, 1].real == pytest.approx(0.5 * 0.7, abs=1e-12)
+        out = bd.apply_channel(channel, product(plus, PARTNER), qubit=0)
+        # Decay moves a = 0.3 of the |1> population to |0>; coherence scales by
+        # sqrt((1 - a)(1 - p)) = 0.7.
+        expected = single_qubit(0.5 + 0.3 * 0.5, 0.5 * 0.7, 0.5 * 0.7)
+        np.testing.assert_allclose(out.matrix, np.kron(expected, PARTNER), atol=1e-12)
 
     def test_out_of_range(self):
         for a, p in ((-0.1, 0.5), (0.5, 1.2)):

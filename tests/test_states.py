@@ -6,12 +6,7 @@ from helpers import ginibre_state, random_spec
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import (
-    DimensionMismatchError,
-    InvalidProbabilitiesError,
-    NotAStateError,
-    OutOfRangeError,
-)
+from belldiag.exceptions import InvalidProbabilitiesError, NotAStateError, OutOfRangeError
 from belldiag.states import (
     BELL_INDICES,
     bell_state_vector,
@@ -155,18 +150,24 @@ class TestWerner:
                 )
 
 
+def maximally_mixed(n_qubits: int) -> np.ndarray:
+    return np.eye(2**n_qubits, dtype=complex) / 2**n_qubits
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
+        m = maximally_mixed(2)
+        m[0, 1] = 0.25
         with pytest.raises(NotAStateError, match="Hermitian"):
-            bd.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+            bd.DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(NotAStateError, match="trace"):
-            bd.DensityMatrix(np.eye(2, dtype=complex))
+            bd.DensityMatrix(np.eye(4, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotAStateError, match="eigenvalue"):
-            bd.DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+            bd.DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
 
     def test_rejects_non_finite(self):
         with pytest.raises(NotAStateError, match="non-finite"):
@@ -180,8 +181,22 @@ class TestDensityMatrix:
     def test_rejects_fewer_than_one_qubit(self):
         for m in (np.ones((1, 1)), np.zeros((0, 0))):
             for validate in (True, False):
-                with pytest.raises(NotAStateError, match="no qubit"):
+                with pytest.raises(NotAStateError, match="4x4"):
                     bd.DensityMatrix(m, validate=validate)
+
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_rejects_valid_states_of_other_qubit_counts(self, n_qubits, validate):
+        with pytest.raises(NotAStateError, match="4x4"):
+            bd.DensityMatrix(maximally_mixed(n_qubits), validate=validate)
+
+    @pytest.mark.parametrize(
+        "shape", [(4,), (2, 8), (4, 4, 1), (1, 4, 4)], ids=["vector", "2x8", "4x4x1", "1x4x4"]
+    )
+    def test_rejects_non_square_shapes(self, shape):
+        for validate in (True, False):
+            with pytest.raises(NotAStateError, match="4x4"):
+                bd.DensityMatrix(np.full(shape, 0.25), validate=validate)
 
     def test_immutable(self):
         rho = bd.werner(0.5)
@@ -197,9 +212,10 @@ class TestFidelity:
         assert bd.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure(self):
-        zero = bd.DensityMatrix(np.diag([1.0, 0.0]).astype(complex), validate=False)
-        one = bd.DensityMatrix(np.diag([0.0, 1.0]).astype(complex), validate=False)
+        zero = bd.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), validate=False)
+        one = bd.DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex), validate=False)
         assert bd.fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
+        assert bd.fidelity(bd.bell_state(0, 0), bd.bell_state(1, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_versus_bell(self):
         mixed = bd.bds_from_spec(bd.BdsSpec(0.25, 0.25, 0.25, 0.25))
@@ -214,11 +230,6 @@ class TestFidelity:
         for _ in range(10):
             a, b = ginibre_state(rng), ginibre_state(rng)
             assert bd.fidelity(a, b) < 1.0 - 1e-6
-
-    def test_dimension_mismatch(self):
-        one_qubit = bd.DensityMatrix(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(DimensionMismatchError):
-            bd.fidelity(one_qubit, bd.werner(0.5))
 
     def test_takes_every_state_density_matrix_accepts(self):
         # -5e-9 is round-off to DensityMatrix and to reconstruct, so fidelity
@@ -251,9 +262,11 @@ class TestJsonFormat:
             density_matrix_from_json(json.dumps(payload))
 
     def test_boolean_qubit_count_rejected(self):
-        # true would read as the integer 1, and this one-qubit matrix would pass.
+        # true is not the integer 1: the error names the type before any shape is read.
+        payload = json.loads(density_matrix_to_json(bd.werner(0.0)))
+        payload["n_qubits"] = True
         with pytest.raises(NotAStateError, match="integer"):
-            density_matrix_from_json('{"n_qubits": true, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
+            density_matrix_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("entry", ["0.25", True, 10**400], ids=["string", "bool", "huge-int"])
     def test_matrix_entries_must_be_json_numbers(self, entry):
@@ -265,8 +278,15 @@ class TestJsonFormat:
 
     @pytest.mark.parametrize("n", [10**18, 3, 1, 0, -1])
     def test_qubit_count_checked_against_the_shape_first(self, rng, n):
-        # 2**(10**18) is never formed: the matrix side bounds n first.
+        # Every n but 2 is rejected, in constant time even for 10**18.
         payload = json.loads(density_matrix_to_json(ginibre_state(rng)))
         payload["n_qubits"] = n
         with pytest.raises(NotAStateError, match="does not match"):
             density_matrix_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_valid_state_of_other_qubit_count_rejected(self, n_qubits):
+        m = maximally_mixed(n_qubits)
+        text = json.dumps({"n_qubits": n_qubits, "re": m.real.tolist(), "im": m.imag.tolist()})
+        with pytest.raises(NotAStateError, match="does not match"):
+            density_matrix_from_json(text)

@@ -86,6 +86,31 @@ class TestSampleCounts:
         assert counts.shots_per_setting == shots
 
 
+class TestTomographyCounts:
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(OutOfRangeError, match="integer"):
+            TomographyCounts(4, {s: (2.5, 1.5, 0, 0) for s in SETTINGS})
+
+    def test_non_integer_shots_rejected(self):
+        for shots, fill in ((4.0, (4, 0, 0, 0)), (4.5, (4.5, 0, 0, 0)), (True, (1, 0, 0, 0))):
+            with pytest.raises(OutOfRangeError, match="integer"):
+                make_counts(shots, fill)
+
+    @pytest.mark.parametrize("extra", ["XX", ("X", "X")], ids=["string", "tuple"])
+    def test_settings_are_exactly_the_nine(self, extra):
+        counts = {s: (4, 0, 0, 0) for s in SETTINGS}
+        counts[extra] = (4, 0, 0, 0)
+        with pytest.raises(OutOfRangeError, match="exactly"):
+            TomographyCounts(4, counts)
+
+    @pytest.mark.parametrize(
+        "bases", [("W", "Q"), ("W", "X"), ("X", "x"), ("X", None)], ids=["WQ", "WX", "Xx", "XNone"]
+    )
+    def test_unknown_basis_rejected(self, bases):
+        with pytest.raises(OutOfRangeError, match="bases"):
+            bd.born_probabilities(bd.werner(0.5), MeasurementSetting(*bases))
+
+
 class TestEstimateCorrelations:
     def test_exact_werner(self):
         for w in (0.2, 0.5, 1.0):
