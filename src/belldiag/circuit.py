@@ -233,13 +233,28 @@ def to_qasm(
             raise InvalidLayoutError(f"logical qubit {index} is not in the register")
         return index
 
+    def by_logical_index(mapping: Mapping, read) -> dict:
+        out = {}
+        for key, value in mapping.items():
+            index = logical_index(key)
+            if index in out:
+                raise InvalidLayoutError(f"logical qubit {index} is given twice (last as {key!r})")
+            out[index] = read(value)
+        return out
+
+    def read_basis(basis) -> str:
+        b = basis.upper() if isinstance(basis, str) else None
+        if b not in _MEASUREMENT_PREFIX:
+            raise InvalidLayoutError(f"unknown measurement basis {basis!r}")
+        return b
+
     if layout is None:
         if circ.n_qubits == 4 and circ.qubit_names == PREP_QUBIT_NAMES:
             phys = dict(DEFAULT_PREP_LAYOUT)
         else:
             phys = {i: i for i in range(circ.n_qubits)}
     else:
-        phys = {logical_index(k): as_index(v) for k, v in layout.items()}
+        phys = by_logical_index(layout, as_index)
     missing = set(range(circ.n_qubits)) - set(phys)
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
@@ -249,14 +264,8 @@ def to_qasm(
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines.append(f"qreg q[{max(phys.values()) + 1}];")
 
-    measured: list[tuple[int, str]] = []
-    if measure_basis:
-        for key, basis in measure_basis.items():
-            b = basis.upper() if isinstance(basis, str) else None
-            if b not in _MEASUREMENT_PREFIX:
-                raise InvalidLayoutError(f"unknown measurement basis {basis!r}")
-            measured.append((logical_index(key), b))
-        measured.sort()
+    measured = sorted(by_logical_index(measure_basis or {}, read_basis).items())
+    if measured:
         lines.append(f"creg c[{len(measured)}];")
 
     for g in circ.gates:

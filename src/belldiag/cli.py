@@ -131,14 +131,7 @@ def _sweep_rows(args) -> list[str]:
         state = circuit_mod.prepared_state(spec)
         if channel is not None:
             state = noise.apply_channel(channel, state, qubit=0)
-
-        if args.shots > 0:
-            row_seed = args.seed * 100003 + i
-            counts = tomography.sample_counts(state, args.shots, row_seed)
-            result = tomography.reconstruct(tomography.estimate_correlations(counts))
-        else:
-            result = tomography.reconstruct(tomography.exact_correlations(state))
-
+        result = tomography.tomograph(state, args.shots, args.seed * 100003 + i)
         fid = states.fidelity(result.state, target)
         if args.no_project:
             measured = states.DensityMatrix(result.raw_matrix, validate=False)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, OutOfRangeError
 from .measures import ResourceReport, full_report
-from .states import DensityMatrix, werner
+from .states import DensityMatrix, strict_index, werner
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -55,6 +55,10 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
     """Apply a single-qubit channel to qubit 0 (a) or 1 (b) of a two-qubit state."""
+    try:
+        qubit = strict_index(qubit)
+    except TypeError:
+        raise DimensionMismatchError(f"qubit must be an integer, got {qubit!r}") from None
     if qubit not in (0, 1):
         raise DimensionMismatchError(f"qubit {qubit} out of range for two qubits")
     # Row and column index split as (qubits before, qubit, qubits after).

@@ -180,17 +180,23 @@ def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
     return ReconstructionResult(DensityMatrix(physical, validate=False), projected, raw)
 
 
-def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> DensityMatrix:
+def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionResult:
     """Full pipeline: sample counts, estimate correlations, reconstruct.
 
-    ``shots=0`` is the exact mode: Born probabilities are used directly
-    with no sampling, so the round trip is exact up to round-off.
+    ``shots=0`` is the exact mode: the correlations are the state's Pauli
+    coefficients (``exact_correlations``), with no sampling, so the round
+    trip is exact up to round-off. Returns the whole ``ReconstructionResult``:
+    the physical ``state``, whether it was ``projected`` and the ``raw_matrix``.
     """
+    try:
+        shots = strict_index(shots)
+    except TypeError:
+        raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
     if shots == 0:
         corr = exact_correlations(rho)
     else:
         corr = estimate_correlations(sample_counts(rho, shots, seed))
-    return reconstruct(corr).state
+    return reconstruct(corr)
 
 
 def counts_to_json(counts: TomographyCounts) -> str:

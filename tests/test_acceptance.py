@@ -122,7 +122,7 @@ def test_criterion_4_shot_noise_tomography():
         prepared = bd.prepared_state(bd.werner_spec(w))
         fids = []
         for seed in range(100):
-            reconstructed = bd.tomograph(prepared, shots=8192, seed=seed)
+            reconstructed = bd.tomograph(prepared, shots=8192, seed=seed).state
             fids.append(bd.fidelity(reconstructed, target))
         fids = np.array(fids)
         stats[w] = (float(np.median(fids)), float(np.min(fids)))

@@ -334,6 +334,22 @@ class TestQasm:
                 to_qasm(circ, measure_basis={0: basis})
         assert to_qasm(circ, layout={np.int64(0): 1, 1: np.int64(3), 2: 2, 3: 4}) == to_qasm(circ)
 
+    @pytest.mark.parametrize(
+        "mappings",
+        [
+            {"layout": {"a": 1, 0: 5, "b": 3, "c": 2, "d": 4}},
+            {"layout": {"a": 1, "b": 3, "c": 2, "d": 4, 3: 5}},
+            {"measure_basis": {0: "X", "a": "Z"}},
+            {"measure_basis": {"d": "Y", 3: "Y"}},
+        ],
+        ids=["layout-name-and-index", "layout-index-after-name", "measure-index-and-name", "measure-name-and-index"],
+    )
+    def test_logical_qubit_given_twice_rejected(self, mappings):
+        # Without the check, one entry silently wins or the qubit is measured twice.
+        circ = purification_circuit(bd.werner_spec(0.5))
+        with pytest.raises(InvalidLayoutError, match="twice"):
+            to_qasm(circ, **mappings)
+
     def test_repeated_qubit_names_rejected(self):
         # With a repeated name, no name reaches the second of the two qubits.
         with pytest.raises(InvalidLayoutError, match="distinct"):

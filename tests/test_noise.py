@@ -123,6 +123,12 @@ class TestApplyChannel:
         with pytest.raises(DimensionMismatchError):
             bd.apply_channel(channel, bd.werner(0.5), qubit=2)
 
+    @pytest.mark.parametrize("qubit", [True, False, 1.0, 0.0])
+    def test_qubit_must_be_an_integer(self, qubit):
+        # True would damp qubit 1; the floats would fail inside the reshape.
+        with pytest.raises(DimensionMismatchError, match="integer"):
+            bd.apply_channel(bd.composite_damping(0.3, 0.3), bd.werner(0.5), qubit=qubit)
+
 
 class TestDecoheredSweep:
     def test_zero_noise_reproduces_theory(self):

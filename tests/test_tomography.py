@@ -208,19 +208,46 @@ class TestTomograph:
     def test_exact_mode_round_trip(self, rng):
         for _ in range(10):
             rho = ginibre_state(rng)
-            out = bd.tomograph(rho, shots=0)
+            out = bd.tomograph(rho, shots=0).state
             assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-10
 
     def test_shot_noise_fidelity(self):
         target = bd.werner(1.0)
         for seed in range(5):
-            out = bd.tomograph(target, shots=8192, seed=seed)
+            out = bd.tomograph(target, shots=8192, seed=seed).state
             assert bd.fidelity(out, target) >= 0.98
 
     def test_seed_changes_output(self):
-        a = bd.tomograph(bd.werner(0.5), shots=512, seed=0)
-        b = bd.tomograph(bd.werner(0.5), shots=512, seed=1)
+        a = bd.tomograph(bd.werner(0.5), shots=512, seed=0).state
+        b = bd.tomograph(bd.werner(0.5), shots=512, seed=1).state
         assert np.max(np.abs(a.matrix - b.matrix)) > 1e-6
+
+    @pytest.mark.parametrize(
+        "rho, shots, seed, projected",
+        [
+            (bd.werner(0.5), 0, 0, False),
+            (bd.werner(0.5), 512, 3, False),
+            # A pure state at a few hundred shots reconstructs with a negative eigenvalue.
+            (bd.bell_state(1, 1), 300, 3, True),
+        ],
+        ids=["exact", "sampled", "sampled-projected"],
+    )
+    def test_returns_the_reconstruction_of_the_explicit_chain(self, rho, shots, seed, projected):
+        if shots == 0:
+            corr = exact_correlations(rho)
+        else:
+            corr = bd.estimate_correlations(bd.sample_counts(rho, shots, seed))
+        expected = bd.reconstruct(corr)
+        result = bd.tomograph(rho, shots, seed)
+        assert result.projected is expected.projected is projected
+        assert np.array_equal(result.state.matrix, expected.state.matrix)
+        assert np.array_equal(result.raw_matrix, expected.raw_matrix)
+
+    @pytest.mark.parametrize("shots", [False, 0.0])
+    def test_shots_must_be_an_integer(self, shots):
+        # Read as 0 they would select exact mode, which sample_counts refuses to be asked for.
+        with pytest.raises(OutOfRangeError, match="integer"):
+            bd.tomograph(bd.werner(0.5), shots)
 
     def test_convergence_at_default_shot_count(self):
         rho = bd.werner(0.5)
