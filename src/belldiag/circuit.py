@@ -56,9 +56,10 @@ class Gate:
             raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
         try:
             params = tuple(float(p) for p in self.params)
-            targets = tuple(strict_index(t) for t in self.targets)
+            targets = tuple(self.targets)
         except (TypeError, ValueError):
             raise OutOfRangeError(f"bad gate params {self.params} or targets {self.targets}") from None
+        targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in targets)
         if not all(math.isfinite(p) for p in params):
             raise OutOfRangeError(f"gate parameters must be finite, got {params}")
         object.__setattr__(self, "params", params)
@@ -91,6 +92,10 @@ class Circuit:
     qubit_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        n = strict_index(self.n_qubits, DimensionMismatchError, "n_qubits")
+        if n < 1:
+            raise DimensionMismatchError(f"a register needs at least one qubit, got {n}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         if not self.qubit_names:
             object.__setattr__(
@@ -217,18 +222,12 @@ def to_qasm(
     measurements are prefixed by h, Y-basis by sdg then h.
     """
 
-    def as_index(value) -> int:
-        try:
-            return strict_index(value)
-        except TypeError:
-            raise InvalidLayoutError(f"qubit index must be an integer, got {value!r}") from None
-
     def logical_index(key: int | str) -> int:
         if isinstance(key, str):
             if key not in circ.qubit_names:
                 raise InvalidLayoutError(f"unknown qubit name {key!r}")
             return circ.qubit_names.index(key)
-        index = as_index(key)
+        index = strict_index(key, InvalidLayoutError, "a logical qubit")
         if not 0 <= index < circ.n_qubits:
             raise InvalidLayoutError(f"logical qubit {index} is not in the register")
         return index
@@ -254,7 +253,7 @@ def to_qasm(
         else:
             phys = {i: i for i in range(circ.n_qubits)}
     else:
-        phys = by_logical_index(layout, as_index)
+        phys = by_logical_index(layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit"))
     missing = set(range(circ.n_qubits)) - set(phys)
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")

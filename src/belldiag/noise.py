@@ -8,6 +8,7 @@ operators satisfy the completeness relation algebraically, since
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +46,7 @@ class KrausChannel:
 
 def composite_damping(a: float, p: float) -> KrausChannel:
     """Single-qubit composition of amplitude damping ``a`` and phase damping ``p``."""
-    if not 0.0 <= a <= 1.0 or not 0.0 <= p <= 1.0:
+    if not all(isinstance(r, numbers.Real) and 0.0 <= r <= 1.0 for r in (a, p)):
         raise OutOfRangeError(f"damping rates must be in [0, 1], got a={a}, p={p}")
     k0 = np.array([[0, 0], [0, np.sqrt(p * (1 - a))]], dtype=complex)
     k1 = np.array([[0, np.sqrt(a)], [0, 0]], dtype=complex)
@@ -55,10 +56,7 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
     """Apply a single-qubit channel to qubit 0 (a) or 1 (b) of a two-qubit state."""
-    try:
-        qubit = strict_index(qubit)
-    except TypeError:
-        raise DimensionMismatchError(f"qubit must be an integer, got {qubit!r}") from None
+    qubit = strict_index(qubit, DimensionMismatchError, "qubit")
     if qubit not in (0, 1):
         raise DimensionMismatchError(f"qubit {qubit} out of range for two qubits")
     # Row and column index split as (qubits before, qubit, qubits after).

@@ -11,13 +11,14 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .exceptions import InvalidProbabilitiesError, NotAStateError, OutOfRangeError
+from .exceptions import BellDiagError, InvalidProbabilitiesError, NotAStateError, OutOfRangeError
 
 PROBABILITY_ATOL = 1e-12
 
@@ -34,6 +35,9 @@ class BdsSpec:
     p11: float
 
     def __post_init__(self):
+        fields = (self.p00, self.p01, self.p10, self.p11)
+        if not all(isinstance(x, numbers.Real) for x in fields):
+            raise InvalidProbabilitiesError(f"probabilities must be real numbers, got {fields!r}")
         p = self.probabilities
         if not np.all(np.isfinite(p)):
             raise InvalidProbabilitiesError(f"probabilities must be finite: {p.tolist()}")
@@ -82,6 +86,8 @@ class DensityMatrix:
 
 def bell_state_vector(j: int, k: int) -> np.ndarray:
     """Amplitude vector of the Bell state ``|b_jk>``."""
+    j = strict_index(j, OutOfRangeError, "Bell index j")
+    k = strict_index(k, OutOfRangeError, "Bell index k")
     if j not in (0, 1) or k not in (0, 1):
         raise OutOfRangeError(f"Bell indices must be bits, got ({j}, {k})")
     v = np.zeros(4, dtype=complex)
@@ -105,16 +111,22 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
     return DensityMatrix(rho, validate=False)
 
 
-def strict_index(value) -> int:
-    """``operator.index`` that also refuses ``bool``: a JSON ``true`` is not the integer 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def strict_index(value, error: type[BellDiagError], name: str) -> int:
+    """``operator.index(value)``, raising ``error``, whose message names ``name``, for a non-integer.
+
+    ``bool`` and every float are refused: a JSON ``true`` is not 1, and nor is ``1.0``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def werner_spec(w: float) -> BdsSpec:
     """Bell-basis probabilities of the Werner state of weight ``w``."""
-    if not 0.0 <= w <= 1.0:
+    if not isinstance(w, numbers.Real) or not 0.0 <= w <= 1.0:
         raise OutOfRangeError(f"Werner weight must be in [0, 1], got {w}")
     q = (1.0 - w) / 4.0
     return BdsSpec(q, q, q, (1.0 + 3.0 * w) / 4.0)
@@ -148,7 +160,7 @@ def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
     """Parse the density-matrix JSON format, validating state invariants."""
     try:
         payload = json.loads(text)
-        n = strict_index(payload["n_qubits"])
+        n = strict_index(payload["n_qubits"], NotAStateError, "n_qubits")
         # np.array would also convert the strings "0.25" and booleans to floats.
         if any(type(x) not in (int, float) for k in ("re", "im") for row in payload[k] for x in row):
             raise TypeError("matrix entries must be JSON numbers")

@@ -21,6 +21,7 @@ from .exceptions import DimensionMismatchError, OutOfRangeError
 from .states import DensityMatrix, strict_index
 
 BASES = ("X", "Y", "Z")
+MAX_SHOTS = np.iinfo(np.int64).max  # the most trials numpy's multinomial takes
 
 # Outcome order for the four counts of one setting.
 OUTCOMES = ("pp", "pm", "mp", "mm")
@@ -58,22 +59,19 @@ class TomographyCounts:
     counts: Mapping[MeasurementSetting, tuple[int, int, int, int]]
 
     def __post_init__(self):
-        try:
-            shots = strict_index(self.shots_per_setting)
-            counts = {s: tuple(map(strict_index, values)) for s, values in self.counts.items()}
-        except TypeError as exc:
-            raise OutOfRangeError(f"shots and counts must be integers: {exc}") from None
-        if not 1 <= shots <= np.iinfo(np.int64).max:
+        shots = strict_index(self.shots_per_setting, OutOfRangeError, "shots_per_setting")
+        if not 1 <= shots <= MAX_SHOTS:
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
-        if set(counts) != set(SETTINGS):
-            missing = sorted(s.key for s in set(SETTINGS) - set(counts))
-            extra = [s for s in counts if s not in SETTINGS]
+        if set(self.counts) != set(SETTINGS):
+            missing = sorted(s.key for s in set(SETTINGS) - set(self.counts))
+            extra = [s for s in self.counts if s not in SETTINGS]
             raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra {extra}")
-        for setting, values in counts.items():
-            if len(values) != 4 or any(v < 0 for v in values):
+        for setting, row in self.counts.items():
+            row = [strict_index(v, OutOfRangeError, "a count") for v in row] if np.iterable(row) else ()
+            if len(row) != 4 or any(v < 0 for v in row):
                 raise OutOfRangeError(f"setting {setting.key} needs 4 nonnegative counts")
-            if sum(values) != shots:
-                raise OutOfRangeError(f"setting {setting.key} counts sum to {sum(values)}, expected {shots}")
+            if sum(row) != shots:
+                raise OutOfRangeError(f"setting {setting.key} counts sum to {sum(row)}, expected {shots}")
 
 
 @dataclass(frozen=True)
@@ -125,17 +123,15 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     (seed, setting index), so results are reproducible and independent of
     evaluation order.
     """
-    try:
-        shots = strict_index(shots)
-    except TypeError:
-        raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
-    if not 1 <= shots <= np.iinfo(np.int64).max:  # the most trials numpy's multinomial takes
+    shots = strict_index(shots, OutOfRangeError, "shots")
+    seed = strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF
+    if not 1 <= shots <= MAX_SHOTS:
         raise OutOfRangeError(f"shots must be in [1, 2**63 - 1], got {shots}")
     table = _born_table(qmath.pauli_coefficients(rho.matrix))
     counts = {}
     for idx, (setting, probs) in enumerate(zip(SETTINGS, table.reshape(9, 4))):
         probs = probs / probs.sum()
-        key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, idx])
+        key = np.random.SeedSequence([seed, idx])
         rng = np.random.Generator(np.random.Philox(key))
         counts[setting] = tuple(int(c) for c in rng.multinomial(shots, probs))
     return TomographyCounts(shots_per_setting=shots, counts=counts)
@@ -188,10 +184,7 @@ def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionRe
     trip is exact up to round-off. Returns the whole ``ReconstructionResult``:
     the physical ``state``, whether it was ``projected`` and the ``raw_matrix``.
     """
-    try:
-        shots = strict_index(shots)
-    except TypeError:
-        raise OutOfRangeError(f"shots must be an integer, got {shots!r}") from None
+    shots = strict_index(shots, OutOfRangeError, "shots")
     if shots == 0:
         corr = exact_correlations(rho)
     else:

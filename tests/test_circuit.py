@@ -66,10 +66,16 @@ class TestGates:
         for bad in (np.nan, np.inf, -np.inf, "x", None):
             with pytest.raises(OutOfRangeError):
                 Gate("r", (bad,), (0,))
-        for targets in ((1.7,), (1.0,), ("1",), (True,)):
+        for targets in ((1.7,), (1.0,), ("1",), (True,), 1):
             with pytest.raises(OutOfRangeError):
                 Gate("h", (), targets)
         assert Gate("cx", (), (np.int64(1), 0)).targets == (1, 0)
+        # The register size is an integer of at least 1: 2.0 would fail in simulate_statevector,
+        # True would be one qubit, and 0 would fail in to_qasm.
+        for n, names in ((1.5, ()), (2.0, ("a", "b")), (True, ()), (0, ()), (-1, ()), ("2", ())):
+            with pytest.raises(DimensionMismatchError):
+                Circuit(n, (), names)
+        assert Circuit(np.int64(2), ()).qubit_names == ("q0", "q1")
 
 
 def rotation_angles(spec: bd.BdsSpec) -> tuple[float, float]:

@@ -63,7 +63,9 @@ class TestCompositeDamping:
         np.testing.assert_allclose(out.matrix, np.kron(expected, PARTNER), atol=1e-12)
 
     def test_out_of_range(self):
-        for a, p in ((-0.1, 0.5), (0.5, 1.2)):
+        # None, a string or a complex rate is refused before the range comparison,
+        # which would raise a bare TypeError.
+        for a, p in ((-0.1, 0.5), (0.5, 1.2), (None, 0), (0, "0.5"), (0.1, 0.5j)):
             with pytest.raises(OutOfRangeError):
                 bd.composite_damping(a, p)
 

@@ -40,6 +40,18 @@ class TestBellStates:
         gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "j,k",
+        [(True, False), (False, True), (0, 1.0), (1.0, 0), (np.float64(1), 1), ("0", 0), (None, 1)],
+        ids=["true-false", "false-true", "int-float", "float-int", "numpy-float", "string", "None"],
+    )
+    def test_indices_must_be_integers(self, j, k):
+        # (True, False) read as (1, 0) would give a state of trace 0.5, unchecked under validate=False.
+        with pytest.raises(OutOfRangeError, match="integer"):
+            bell_state_vector(j, k)
+        with pytest.raises(OutOfRangeError, match="integer"):
+            bd.bell_state(j, k)
+
 
 class TestBdsSpec:
     def test_pure_bell(self):
@@ -67,6 +79,10 @@ class TestBdsSpec:
             bd.BdsSpec(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(InvalidProbabilitiesError):
             bd.BdsSpec(0.3, 0.3, 0.3, 0.3)
+        # np.array(..., dtype=float) would raise a bare ValueError for "a" and read "0.25" as 0.25.
+        for bad in ("a", "0.25", 1j):
+            with pytest.raises(InvalidProbabilitiesError, match="real numbers"):
+                bd.BdsSpec(bad, 0.25, 0.25, 0.25)
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -135,7 +151,9 @@ class TestWerner:
         np.testing.assert_allclose(c, [1, -0.5, -0.5, -0.5], atol=1e-14)
 
     def test_rejects_out_of_range(self):
-        for w in (-0.1, 1.1):
+        # A string, None or a complex weight is refused before the range comparison,
+        # which would raise a bare TypeError.
+        for w in (-0.1, 1.1, "0.5", None, 0.5j):
             with pytest.raises(OutOfRangeError):
                 bd.werner(w)
 

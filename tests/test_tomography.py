@@ -77,8 +77,14 @@ class TestSampleCounts:
         for shots in (2**63, 2**64, 100.5, 100.0, "100", True):
             with pytest.raises(OutOfRangeError):
                 bd.sample_counts(bd.werner(0.5), shots=shots, seed=1)
+        # int(seed) would read 1.9, 1.0 and True as the seed 1.
+        for seed in (1.9, 1.0, True, None, "1"):
+            with pytest.raises(OutOfRangeError, match="integer"):
+                bd.sample_counts(bd.werner(0.5), shots=100, seed=seed)
         with pytest.raises(OutOfRangeError):
             make_counts(10, (5, 5, 5, 5))  # sums to 20
+        with pytest.raises(OutOfRangeError):
+            TomographyCounts(4, {s: 4 for s in SETTINGS})  # a count that is not a row of four
 
     def test_largest_shot_count(self):
         shots = np.iinfo(np.int64).max
