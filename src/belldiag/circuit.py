@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidLayoutError,
     OutOfRangeError,
 )
-from .states import BdsSpec, DensityMatrix, strict_index
+from .states import BdsSpec, DensityMatrix, strict_index, strict_real
 
 GATE_KINDS = ("r", "h", "cx")
 
@@ -30,6 +30,8 @@ _CX_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
+# The largest register: 2**16 amplitudes make a 1 MiB state vector.
+MAX_QUBITS = 16
 # 4-qubit register of the preparation circuit.
 PREP_QUBIT_NAMES = ("a", "b", "c", "d")
 # Hardware encoding used for QASM export: a->Q1, b->Q3, c->Q2, d->Q4.
@@ -52,16 +54,12 @@ class Gate:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
             raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
-        try:
-            params = tuple(float(p) for p in self.params)
-            targets = tuple(self.targets)
-        except (TypeError, ValueError):
-            raise OutOfRangeError(f"bad gate params {self.params} or targets {self.targets}") from None
-        targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in targets)
-        if not all(math.isfinite(p) for p in params):
-            raise OutOfRangeError(f"gate parameters must be finite, got {params}")
+        if not (np.iterable(self.params) and np.iterable(self.targets)):
+            raise OutOfRangeError(f"gate params {self.params!r} and targets {self.targets!r} must be sequences")
+        params = tuple(strict_real(p, OutOfRangeError, "a gate angle") for p in self.params)
+        targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in self.targets)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "targets", targets)
         n_params = 1 if self.kind == "r" else 0
@@ -93,14 +91,18 @@ class Circuit:
 
     def __post_init__(self):
         n = strict_index(self.n_qubits, DimensionMismatchError, "n_qubits")
-        if n < 1:
-            raise DimensionMismatchError(f"a register needs at least one qubit, got {n}")
+        if not 1 <= n <= MAX_QUBITS:
+            raise DimensionMismatchError(f"a register takes 1 to {MAX_QUBITS} qubits, got {n}")
+        if not (np.iterable(self.gates) and np.iterable(self.qubit_names)):
+            raise OutOfRangeError(f"gates {self.gates!r} and qubit_names {self.qubit_names!r} must be sequences")
+        gates, names = tuple(self.gates), tuple(self.qubit_names)
+        if not all(isinstance(g, Gate) for g in gates):
+            raise OutOfRangeError(f"gates must be Gate instances, got {gates!r}")
+        if not all(isinstance(q, str) for q in names):
+            raise InvalidLayoutError(f"qubit names must be strings, got {names!r}")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if not self.qubit_names:
-            object.__setattr__(
-                self, "qubit_names", tuple(f"q{i}" for i in range(self.n_qubits))
-            )
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "qubit_names", names or tuple(f"q{i}" for i in range(n)))
         if len(self.qubit_names) != self.n_qubits:
             raise DimensionMismatchError("qubit_names length must equal n_qubits")
         if len(set(self.qubit_names)) != self.n_qubits:
@@ -233,6 +235,8 @@ def to_qasm(
         return index
 
     def by_logical_index(mapping: Mapping, read) -> dict:
+        if not isinstance(mapping, Mapping):
+            raise InvalidLayoutError(f"expected a mapping of logical qubits, got {mapping!r}")
         out = {}
         for key, value in mapping.items():
             index = logical_index(key)
@@ -263,7 +267,8 @@ def to_qasm(
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines.append(f"qreg q[{max(phys.values()) + 1}];")
 
-    measured = sorted(by_logical_index(measure_basis or {}, read_basis).items())
+    bases = by_logical_index({} if measure_basis is None else measure_basis, read_basis)
+    measured = sorted(bases.items())
     if measured:
         lines.append(f"creg c[{len(measured)}];")
 

@@ -8,7 +8,6 @@ operators satisfy the completeness relation algebraically, since
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, OutOfRangeError
 from .measures import ResourceReport, full_report
-from .states import DensityMatrix, strict_index, werner
+from .states import DensityMatrix, strict_array, strict_index, strict_real, werner
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -28,25 +27,29 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        if not np.iterable(self.operators):
+            raise OutOfRangeError(f"Kraus operators must be a sequence, got {self.operators!r}")
+        ops = tuple(
+            strict_array(k, complex, (2, 2), DimensionMismatchError, "a one-qubit Kraus operator")
+            for k in self.operators
+        )
         if not ops:
             raise OutOfRangeError("a channel needs at least one Kraus operator")
-        if any(k.shape != (2, 2) for k in ops):
-            raise DimensionMismatchError("Kraus operators must be 2x2: channels act on one qubit")
-        if not all(np.all(np.isfinite(k)) for k in ops):
-            raise OutOfRangeError("Kraus operators must have finite entries")
+        # K†K <= I bounds each entry of a trace-preserving K by 1, which also keeps NaN,
+        # the infinities and overflow out of the completeness sum.
+        if not all(np.all(np.abs(k.view(float)) <= 1 + COMPLETENESS_ATOL) for k in ops):
+            raise OutOfRangeError("Kraus operators must have finite entries of modulus at most 1")
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(total - np.eye(2))))
         if defect > COMPLETENESS_ATOL:
             raise OutOfRangeError(f"channel is not trace preserving: |sum K†K - I| = {defect:.3e}")
-        for k in ops:
-            k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
 
 def composite_damping(a: float, p: float) -> KrausChannel:
     """Single-qubit composition of amplitude damping ``a`` and phase damping ``p``."""
-    if not all(isinstance(r, numbers.Real) and 0.0 <= r <= 1.0 for r in (a, p)):
+    a, p = (strict_real(r, OutOfRangeError, "a damping rate") for r in (a, p))
+    if not (0.0 <= a <= 1.0 and 0.0 <= p <= 1.0):
         raise OutOfRangeError(f"damping rates must be in [0, 1], got a={a}, p={p}")
     k0 = np.array([[0, 0], [0, np.sqrt(p * (1 - a))]], dtype=complex)
     k1 = np.array([[0, np.sqrt(a)], [0, 0]], dtype=complex)
@@ -71,11 +74,11 @@ def decohered_werner_sweep(
     a: float, p: float, w_grid: Sequence[float]
 ) -> list[tuple[float, ResourceReport]]:
     """Measures of Werner states after damping qubit a, for each weight."""
-    if len(w_grid) == 0:
-        raise OutOfRangeError("w_grid must be nonempty")
+    if not (np.iterable(w_grid) and hasattr(w_grid, "__len__")) or len(w_grid) == 0:
+        raise OutOfRangeError(f"w_grid must be a nonempty sequence, got {w_grid!r}")
     channel = composite_damping(a, p)
     out = []
     for w in w_grid:
-        decohered = apply_channel(channel, werner(float(w)))
-        out.append((float(w), full_report(decohered)))
+        w = strict_real(w, OutOfRangeError, "Werner weight")
+        out.append((w, full_report(apply_channel(channel, werner(w)))))
     return out

@@ -11,6 +11,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -35,12 +36,9 @@ class BdsSpec:
     p11: float
 
     def __post_init__(self):
-        fields = (self.p00, self.p01, self.p10, self.p11)
-        if not all(isinstance(x, numbers.Real) for x in fields):
-            raise InvalidProbabilitiesError(f"probabilities must be real numbers, got {fields!r}")
+        for name in ("p00", "p01", "p10", "p11"):
+            object.__setattr__(self, name, strict_real(getattr(self, name), InvalidProbabilitiesError, name))
         p = self.probabilities
-        if not np.all(np.isfinite(p)):
-            raise InvalidProbabilitiesError(f"probabilities must be finite: {p.tolist()}")
         if np.any(p < -PROBABILITY_ATOL) or np.any(p > 1 + PROBABILITY_ATOL):
             raise InvalidProbabilitiesError(f"probabilities out of [0, 1]: {p.tolist()}")
         total = float(np.sum(p))
@@ -59,12 +57,12 @@ class DensityMatrix:
     n_qubits = 2
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise NotAStateError(f"expected a two-qubit 4x4 matrix, got shape {m.shape}")
+        m = strict_array(matrix, complex, (4, 4), NotAStateError, "a two-qubit density matrix")
         if validate:
-            if not np.all(np.isfinite(m)):
-                raise NotAStateError("matrix has non-finite entries")
+            # No entry of a state exceeds 1 in modulus. Twice that refuses no state, and keeps
+            # NaN, the infinities and entries that would overflow the checks below out.
+            if not np.all(np.abs(m.view(float)) <= 2.0):
+                raise NotAStateError("matrix has non-finite or out-of-range entries")
             defect = qmath.hermiticity_defect(m)
             if defect > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")
@@ -74,7 +72,6 @@ class DensityMatrix:
             min_eig = float(np.linalg.eigvalsh(m)[0])
             if min_eig < qmath.STATE_MIN_EIGENVALUE:
                 raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def __setattr__(self, name, value):
@@ -124,9 +121,41 @@ def strict_index(value, error: type[BellDiagError], name: str) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def strict_real(value, error: type[BellDiagError], name: str) -> float:
+    """``float(value)``, raising ``error``, whose message names ``name``, unless it is a finite real.
+
+    ``bool``, ``str``, ``bytes``, NaN, ±inf and integers too large for a float are refused.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:
+            pass
+    raise error(f"{name} takes only finite real numbers, got {value!r}")
+
+
+def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: str) -> np.ndarray:
+    """A new read-only ``dtype`` array of ``value``, raising ``error``, naming ``name``, unless of ``shape``.
+
+    Elements must be int, uint, float or complex (complex only into a complex ``dtype``).
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged nested sequence
+        raise error(f"{name} is not an array of numbers: {exc}") from None
+    if a.shape != shape or a.dtype.kind not in "iuf" + np.dtype(dtype).kind:
+        size = "x".join(map(str, shape))
+        raise error(f"{name} must be a {size} array of {np.dtype(dtype)}, got {a.dtype} of shape {a.shape}")
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def werner_spec(w: float) -> BdsSpec:
     """Bell-basis probabilities of the Werner state of weight ``w``."""
-    if not isinstance(w, numbers.Real) or not 0.0 <= w <= 1.0:
+    w = strict_real(w, OutOfRangeError, "Werner weight")
+    if not 0.0 <= w <= 1.0:
         raise OutOfRangeError(f"Werner weight must be in [0, 1], got {w}")
     q = (1.0 - w) / 4.0
     return BdsSpec(q, q, q, (1.0 + 3.0 * w) / 4.0)
@@ -161,13 +190,13 @@ def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
     try:
         payload = json.loads(text)
         n = strict_index(payload["n_qubits"], NotAStateError, "n_qubits")
-        # np.array would also convert the strings "0.25" and booleans to floats.
+        # np.asarray would read [true, 0.5] as [1.0, 0.5].
         if any(type(x) not in (int, float) for k in ("re", "im") for row in payload[k] for x in row):
             raise TypeError("matrix entries must be JSON numbers")
-        re = np.array(payload["re"], dtype=float)
-        im = np.array(payload["im"], dtype=float)
-    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise NotAStateError(f"malformed density-matrix JSON: {exc}") from exc
-    if n != 2 or re.shape != (4, 4) or im.shape != (4, 4):
-        raise NotAStateError(f"n_qubits={n}, shapes {re.shape}, {im.shape} does not match two qubits, 4x4")
+    if n != 2:
+        raise NotAStateError(f"n_qubits={n} does not match two qubits")
+    parts = (payload["re"], payload["im"])
+    re, im = strict_array(parts, float, (2, 4, 4), NotAStateError, "malformed density-matrix JSON: re and im")
     return DensityMatrix(re + 1j * im)

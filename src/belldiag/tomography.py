@@ -11,14 +11,14 @@ the physical set below the floor ``qmath.STATE_MIN_EIGENVALUE``.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .states import DensityMatrix, strict_index
+from .states import DensityMatrix, strict_array, strict_index
 
 BASES = ("X", "Y", "Z")
 MAX_SHOTS = np.iinfo(np.int64).max  # the most trials numpy's multinomial takes
@@ -38,7 +38,7 @@ class MeasurementSetting:
     basis_b: str
 
     def __post_init__(self):
-        if self.basis_a not in BASES or self.basis_b not in BASES:
+        if not all(isinstance(b, str) and b in BASES for b in (self.basis_a, self.basis_b)):
             raise OutOfRangeError(f"bases must be among {BASES}, got {self.basis_a!r}, {self.basis_b!r}")
 
     @property
@@ -62,6 +62,8 @@ class TomographyCounts:
         shots = strict_index(self.shots_per_setting, OutOfRangeError, "shots_per_setting")
         if not 1 <= shots <= MAX_SHOTS:
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
+        if not isinstance(self.counts, Mapping):
+            raise OutOfRangeError(f"counts must map each setting to its four counts, got {self.counts!r}")
         if set(self.counts) != set(SETTINGS):
             missing = sorted(s.key for s in set(SETTINGS) - set(self.counts))
             extra = [s for s in self.counts if s not in SETTINGS]
@@ -81,15 +83,12 @@ class CorrelationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (4, 4):
-            raise DimensionMismatchError(f"expected a 4x4 array, got {v.shape}")
+        v = strict_array(self.values, float, (4, 4), DimensionMismatchError, "a correlation matrix")
         if v[0, 0] != 1.0:
             raise OutOfRangeError(f"c[0][0] must be exactly 1, got {v[0, 0]!r}")
         # Written as "not within" so that NaN, which fails every comparison, is rejected.
         if not np.all(np.abs(v) <= 1.0 + 1e-12):
             raise OutOfRangeError("correlation entries must be finite and lie in [-1, 1]")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

@@ -8,6 +8,7 @@ from oracles import qasm_reduced_state
 import belldiag as bd
 from belldiag import qmath
 from belldiag.circuit import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     _format_angle,
@@ -53,6 +54,9 @@ class TestGates:
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
             Gate("swap", (), (0, 1))
+        for kind in (np.array(["r", "h"]), np.array(["h"]), None):
+            with pytest.raises(OutOfRangeError):
+                Gate(kind, (), (0,))
         with pytest.raises(OutOfRangeError):
             Gate("r", (), (0,))
         with pytest.raises(OutOfRangeError):
@@ -63,7 +67,7 @@ class TestGates:
             with pytest.raises(DimensionMismatchError):
                 Circuit(n_qubits=2, gates=(gate,))
         # A non-finite or non-numeric angle and a non-integer target are rejected, not simulated.
-        for bad in (np.nan, np.inf, -np.inf, "x", None):
+        for bad in (np.nan, np.inf, -np.inf, "x", None, "0.5", True, b"1", 10**400, 1j):
             with pytest.raises(OutOfRangeError):
                 Gate("r", (bad,), (0,))
         for targets in ((1.7,), (1.0,), ("1",), (True,), 1):
@@ -76,6 +80,16 @@ class TestGates:
             with pytest.raises(DimensionMismatchError):
                 Circuit(n, (), names)
         assert Circuit(np.int64(2), ()).qubit_names == ("q0", "q1")
+        # At most MAX_QUBITS qubits, checked before a default name is built.
+        with pytest.raises(DimensionMismatchError):
+            Circuit(MAX_QUBITS + 1, ())
+        assert len(Circuit(MAX_QUBITS, ()).qubit_names) == MAX_QUBITS
+        # Gates and qubit names are collections of Gate and of str.
+        for gates, names in ((5, ()), ((), 5), ((5,), ()), (None, ())):
+            with pytest.raises(OutOfRangeError):
+                Circuit(4, gates, names)
+        with pytest.raises(InvalidLayoutError):
+            Circuit(2, (), (1, 2))
 
 
 def rotation_angles(spec: bd.BdsSpec) -> tuple[float, float]:

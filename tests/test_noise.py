@@ -65,13 +65,16 @@ class TestCompositeDamping:
     def test_out_of_range(self):
         # None, a string or a complex rate is refused before the range comparison,
         # which would raise a bare TypeError.
-        for a, p in ((-0.1, 0.5), (0.5, 1.2), (None, 0), (0, "0.5"), (0.1, 0.5j)):
+        for a, p in ((-0.1, 0.5), (0.5, 1.2), (None, 0), (0, "0.5"), (0.1, 0.5j), (True, 0), (0, 10**400)):
             with pytest.raises(OutOfRangeError):
                 bd.composite_damping(a, p)
 
     def test_incomplete_channel_rejected(self):
         with pytest.raises(OutOfRangeError):
             KrausChannel(operators=(np.eye(2, dtype=complex) * 0.5,))
+        for operators in ((), 5, None):
+            with pytest.raises(OutOfRangeError):
+                KrausChannel(operators=operators)
 
     @pytest.mark.parametrize("op", [np.eye(4), np.eye(1), np.ones((2, 3))], ids=["4x4", "1x1", "2x3"])
     def test_operators_act_on_one_qubit(self, op):
@@ -79,7 +82,18 @@ class TestCompositeDamping:
         with pytest.raises(DimensionMismatchError):
             KrausChannel(operators=(op,))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "op",
+        [np.full((2, 2), "1"), np.eye(2, dtype=bool), np.array([[1, 0], [0, 10**400]], dtype=object)],
+        ids=["text", "bool", "huge-int"],
+    )
+    def test_operators_must_hold_numbers(self, op):
+        # The boolean identity would be read as the identity channel.
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(operators=(op,))
+
+    # 1e300 is finite, but its square overflows the completeness sum.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     def test_non_finite_operator_rejected(self, bad):
         k = np.eye(2, dtype=complex)
         k[1, 1] = bad
@@ -160,6 +174,10 @@ class TestDecoheredSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(OutOfRangeError):
             bd.decohered_werner_sweep(0.1, 0.1, [])
+        # A grid that is not a sized collection, and weights that are not real numbers.
+        for grid in (5, (w for w in (0.5,)), np.float64(0.5), ["0.5"], [True], [b"1"]):
+            with pytest.raises(OutOfRangeError):
+                bd.decohered_werner_sweep(0.1, 0.1, grid)
 
     def test_target_qubit_flag(self):
         out_b = bd.apply_channel(bd.composite_damping(0.3, 0.3), bd.werner(0.6), qubit=1)

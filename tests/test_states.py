@@ -79,8 +79,9 @@ class TestBdsSpec:
             bd.BdsSpec(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(InvalidProbabilitiesError):
             bd.BdsSpec(0.3, 0.3, 0.3, 0.3)
-        # np.array(..., dtype=float) would raise a bare ValueError for "a" and read "0.25" as 0.25.
-        for bad in ("a", "0.25", 1j):
+        # np.array(..., dtype=float) would raise a bare ValueError for "a" and read "0.25" as 0.25;
+        # True is not 1.0, and 10**400 overflows a float.
+        for bad in ("a", "0.25", 1j, True, b"1", 10**400):
             with pytest.raises(InvalidProbabilitiesError, match="real numbers"):
                 bd.BdsSpec(bad, 0.25, 0.25, 0.25)
 
@@ -152,8 +153,8 @@ class TestWerner:
 
     def test_rejects_out_of_range(self):
         # A string, None or a complex weight is refused before the range comparison,
-        # which would raise a bare TypeError.
-        for w in (-0.1, 1.1, "0.5", None, 0.5j):
+        # which would raise a bare TypeError; True is not the weight 1.
+        for w in (-0.1, 1.1, "0.5", None, 0.5j, True, b"1", 10**400, np.nan, np.inf):
             with pytest.raises(OutOfRangeError):
                 bd.werner(w)
 
@@ -190,6 +191,10 @@ class TestDensityMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(NotAStateError, match="non-finite"):
             bd.DensityMatrix(np.full((4, 4), np.nan))
+        # Finite, but large enough to overflow the Hermiticity and trace checks.
+        for huge in (np.full((4, 4), 1e308), np.diag([1e308, 1e308, -1e308, 0.0])):
+            with pytest.raises(NotAStateError, match="out-of-range"):
+                bd.DensityMatrix(huge)
         for bad in (np.nan, np.inf):
             m = np.eye(4, dtype=complex) / 4
             m[1, 2] = m[2, 1] = bad
@@ -215,6 +220,24 @@ class TestDensityMatrix:
         for validate in (True, False):
             with pytest.raises(NotAStateError, match="4x4"):
                 bd.DensityMatrix(np.full(shape, 0.25), validate=validate)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            object(),
+            np.full((4, 4), "0.25"),
+            np.eye(4, dtype=bool),
+            [[0.25] * 4] * 3 + [[0.25] * 3],
+            [[10**400] * 4] * 4,
+            np.eye(4, dtype=object) / 4,
+        ],
+        ids=["object", "text", "bool", "ragged", "huge-int", "object-array"],
+    )
+    def test_rejects_non_numeric_entries(self, matrix):
+        # np.array(..., dtype=complex) would read text and booleans as numbers.
+        for validate in (True, False):
+            with pytest.raises(NotAStateError):
+                bd.DensityMatrix(matrix, validate=validate)
 
     def test_immutable(self):
         rho = bd.werner(0.5)

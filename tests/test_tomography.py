@@ -6,7 +6,7 @@ from helpers import ginibre_state
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import OutOfRangeError
+from belldiag.exceptions import DimensionMismatchError, OutOfRangeError
 from belldiag.tomography import (
     SETTINGS,
     CorrelationMatrix,
@@ -85,6 +85,9 @@ class TestSampleCounts:
             make_counts(10, (5, 5, 5, 5))  # sums to 20
         with pytest.raises(OutOfRangeError):
             TomographyCounts(4, {s: 4 for s in SETTINGS})  # a count that is not a row of four
+        for counts in (5, None, list(SETTINGS)):  # not a mapping of settings to rows
+            with pytest.raises(OutOfRangeError):
+                TomographyCounts(8, counts)
 
     def test_largest_shot_count(self):
         shots = np.iinfo(np.int64).max
@@ -110,7 +113,9 @@ class TestTomographyCounts:
             TomographyCounts(4, counts)
 
     @pytest.mark.parametrize(
-        "bases", [("W", "Q"), ("W", "X"), ("X", "x"), ("X", None)], ids=["WQ", "WX", "Xx", "XNone"]
+        "bases",
+        [("W", "Q"), ("W", "X"), ("X", "x"), ("X", None), (np.array(["X", "Y"]), "X"), ("X", np.array(["Z"]))],
+        ids=["WQ", "WX", "Xx", "XNone", "array-XY", "array-Z"],
     )
     def test_unknown_basis_rejected(self, bases):
         with pytest.raises(OutOfRangeError, match="bases"):
@@ -195,6 +200,16 @@ class TestReconstruct:
         c[3, 3] = 1.2
         with pytest.raises(OutOfRangeError):
             CorrelationMatrix(c)
+
+    @pytest.mark.parametrize(
+        "values",
+        [1j, np.eye(4, dtype=complex), np.eye(4, dtype=bool), np.full((4, 4), "0")],
+        ids=["complex", "complex-array", "bool", "text"],
+    )
+    def test_non_real_entries_rejected(self, values):
+        # np.array(..., dtype=float) would drop an imaginary part and read booleans and text.
+        with pytest.raises(DimensionMismatchError):
+            CorrelationMatrix(values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
