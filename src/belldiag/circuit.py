@@ -90,9 +90,7 @@ class Circuit:
     qubit_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        n = strict_index(self.n_qubits, DimensionMismatchError, "n_qubits")
-        if not 1 <= n <= MAX_QUBITS:
-            raise DimensionMismatchError(f"a register takes 1 to {MAX_QUBITS} qubits, got {n}")
+        n = strict_index(self.n_qubits, DimensionMismatchError, "n_qubits", 1, MAX_QUBITS)
         if not (np.iterable(self.gates) and np.iterable(self.qubit_names)):
             raise OutOfRangeError(f"gates {self.gates!r} and qubit_names {self.qubit_names!r} must be sequences")
         gates, names = tuple(self.gates), tuple(self.qubit_names)
@@ -158,26 +156,16 @@ def purification_circuit(spec: BdsSpec) -> Circuit:
     return Circuit(n_qubits=4, gates=tuple(gates), qubit_names=PREP_QUBIT_NAMES)
 
 
-# _FRONT_AXES[m]: the leading m axes, where _apply moves a gate's m targets.
-_FRONT_AXES = ((), (0,), (0, 1))
-
-
-def _apply(psi: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply ``u`` to the qubits ``targets``, the first of them most significant in ``u``."""
-    front = _FRONT_AXES[len(targets)]
-    t = np.moveaxis(psi.reshape((2,) * n), targets, front)
-    shape = t.shape
-    t = (u @ t.reshape(u.shape[0], -1)).reshape(shape)
-    return np.moveaxis(t, front, targets).reshape(-1)
-
-
 def simulate_statevector(circ: Circuit) -> np.ndarray:
     """Apply the circuit's gates in order to the all-zero computational basis state."""
-    psi = np.zeros(2**circ.n_qubits, dtype=complex)
-    psi[0] = 1.0
+    psi = np.zeros((2,) * circ.n_qubits, dtype=complex)
+    psi.flat[0] = 1.0
     for g in circ.gates:
-        psi = _apply(psi, g.matrix(), g.targets, circ.n_qubits)
-    return psi
+        # Bring the targets to the front, in the order the gate's matrix reads them, apply it, put them back.
+        front = tuple(range(len(g.targets)))
+        t = np.moveaxis(psi, g.targets, front)
+        psi = np.moveaxis((g.matrix() @ t.reshape(2 ** len(front), -1)).reshape(t.shape), front, g.targets)
+    return psi.reshape(-1)
 
 
 def prepared_state(spec: BdsSpec) -> DensityMatrix:
@@ -229,10 +217,7 @@ def to_qasm(
             if key not in circ.qubit_names:
                 raise InvalidLayoutError(f"unknown qubit name {key!r}")
             return circ.qubit_names.index(key)
-        index = strict_index(key, InvalidLayoutError, "a logical qubit")
-        if not 0 <= index < circ.n_qubits:
-            raise InvalidLayoutError(f"logical qubit {index} is not in the register")
-        return index
+        return strict_index(key, InvalidLayoutError, "a logical qubit", 0, circ.n_qubits - 1)
 
     def by_logical_index(mapping: Mapping, read) -> dict:
         if not isinstance(mapping, Mapping):
@@ -257,11 +242,11 @@ def to_qasm(
         else:
             phys = {i: i for i in range(circ.n_qubits)}
     else:
-        phys = by_logical_index(layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit"))
+        phys = by_logical_index(layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit", 0))
     missing = set(range(circ.n_qubits)) - set(phys)
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
-    if len(set(phys.values())) != len(phys) or any(v < 0 for v in phys.values()):
+    if len(set(phys.values())) != len(phys):
         raise InvalidLayoutError(f"layout is not injective into physical indices: {phys}")
 
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
@@ -275,8 +260,9 @@ def to_qasm(
     for g in circ.gates:
         q = [phys[t] for t in g.targets]
         if g.kind == "r":
-            # R(x/2) is the native u3(x, 0, 0).
-            lines.append(f"u3({_format_angle(2 * g.params[0])},0,0) q[{q[0]}];")
+            # R(x/2) is the native u3(x, 0, 0); 2x overflows to inf above about 9e307.
+            x = strict_real(2 * g.params[0], OutOfRangeError, "a u3 angle")
+            lines.append(f"u3({_format_angle(x)},0,0) q[{q[0]}];")
         elif g.kind == "h":
             lines.append(f"h q[{q[0]}];")
         else:

@@ -48,9 +48,8 @@ class KrausChannel:
 
 def composite_damping(a: float, p: float) -> KrausChannel:
     """Single-qubit composition of amplitude damping ``a`` and phase damping ``p``."""
-    a, p = (strict_real(r, OutOfRangeError, "a damping rate") for r in (a, p))
-    if not (0.0 <= a <= 1.0 and 0.0 <= p <= 1.0):
-        raise OutOfRangeError(f"damping rates must be in [0, 1], got a={a}, p={p}")
+    a = strict_real(a, OutOfRangeError, "damping rate a", 0, 1)
+    p = strict_real(p, OutOfRangeError, "damping rate p", 0, 1)
     k0 = np.array([[0, 0], [0, np.sqrt(p * (1 - a))]], dtype=complex)
     k1 = np.array([[0, np.sqrt(a)], [0, 0]], dtype=complex)
     k2 = np.array([[1, 0], [0, np.sqrt((1 - p) * (1 - a))]], dtype=complex)
@@ -59,9 +58,7 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
     """Apply a single-qubit channel to qubit 0 (a) or 1 (b) of a two-qubit state."""
-    qubit = strict_index(qubit, DimensionMismatchError, "qubit")
-    if qubit not in (0, 1):
-        raise DimensionMismatchError(f"qubit {qubit} out of range for two qubits")
+    qubit = strict_index(qubit, DimensionMismatchError, "qubit", 0, 1)
     # Row and column index split as (qubits before, qubit, qubits after).
     split = (2**qubit, 2, 2 ** (rho.n_qubits - qubit - 1))
     t = rho.matrix.reshape(split + split)

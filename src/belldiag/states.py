@@ -83,10 +83,8 @@ class DensityMatrix:
 
 def bell_state_vector(j: int, k: int) -> np.ndarray:
     """Amplitude vector of the Bell state ``|b_jk>``."""
-    j = strict_index(j, OutOfRangeError, "Bell index j")
-    k = strict_index(k, OutOfRangeError, "Bell index k")
-    if j not in (0, 1) or k not in (0, 1):
-        raise OutOfRangeError(f"Bell indices must be bits, got ({j}, {k})")
+    j = strict_index(j, OutOfRangeError, "Bell index j", 0, 1)
+    k = strict_index(k, OutOfRangeError, "Bell index k", 0, 1)
     v = np.zeros(4, dtype=complex)
     v[k] = 1 / np.sqrt(2)
     v[2 + (k ^ 1)] = (-1) ** j / np.sqrt(2)
@@ -108,28 +106,34 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
     return DensityMatrix(rho, validate=False)
 
 
-def strict_index(value, error: type[BellDiagError], name: str) -> int:
-    """``operator.index(value)``, raising ``error``, whose message names ``name``, for a non-integer.
+def _within(x, error: type[BellDiagError], name: str, lo, hi):
+    if lo <= x <= hi:
+        return x
+    raise error(f"{name} must be in [{lo}, {hi}], got {x!r}")
 
-    ``bool`` and every float are refused: a JSON ``true`` is not 1, and nor is ``1.0``.
+
+def strict_index(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=math.inf) -> int:
+    """``operator.index(value)``, raising ``error``, whose message names ``name``, unless in [``lo``, ``hi``].
+
+    ``bool`` and every float are refused: a JSON ``true`` is not 1, nor ``1.0``. The range is open by default.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            return _within(operator.index(value), error, name, lo, hi)
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
 
 
-def strict_real(value, error: type[BellDiagError], name: str) -> float:
-    """``float(value)``, raising ``error``, whose message names ``name``, unless it is a finite real.
+def strict_real(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=math.inf) -> float:
+    """``float(value)``, raising ``error``, whose message names ``name``, unless finite and in [``lo``, ``hi``].
 
-    ``bool``, ``str``, ``bytes``, NaN, ±inf and integers too large for a float are refused.
+    ``bool``, ``str``, ``bytes`` and integers too large for a float are refused. The range is open by default.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             if math.isfinite(x := float(value)):
-                return x
+                return _within(x, error, name, lo, hi)
         except OverflowError:
             pass
     raise error(f"{name} takes only finite real numbers, got {value!r}")
@@ -154,9 +158,7 @@ def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: s
 
 def werner_spec(w: float) -> BdsSpec:
     """Bell-basis probabilities of the Werner state of weight ``w``."""
-    w = strict_real(w, OutOfRangeError, "Werner weight")
-    if not 0.0 <= w <= 1.0:
-        raise OutOfRangeError(f"Werner weight must be in [0, 1], got {w}")
+    w = strict_real(w, OutOfRangeError, "Werner weight", 0, 1)
     q = (1.0 - w) / 4.0
     return BdsSpec(q, q, q, (1.0 + 3.0 * w) / 4.0)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class TomographyCounts:
 
     def __post_init__(self):
         shots = strict_index(self.shots_per_setting, OutOfRangeError, "shots_per_setting")
-        if not 1 <= shots <= MAX_SHOTS:
+        if not 1 <= shots <= MAX_SHOTS:  # by hand, so that a counts file is told "2**63 - 1"
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
         if not isinstance(self.counts, Mapping):
             raise OutOfRangeError(f"counts must map each setting to its four counts, got {self.counts!r}")
@@ -68,12 +69,15 @@ class TomographyCounts:
             missing = sorted(s.key for s in set(SETTINGS) - set(self.counts))
             extra = [s for s in self.counts if s not in SETTINGS]
             raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra {extra}")
-        for setting, row in self.counts.items():
-            row = [strict_index(v, OutOfRangeError, "a count") for v in row] if np.iterable(row) else ()
-            if len(row) != 4 or any(v < 0 for v in row):
-                raise OutOfRangeError(f"setting {setting.key} needs 4 nonnegative counts")
+        rows = {}  # an owned copy: the caller's mapping and rows may change after this check
+        for s, row in self.counts.items():
+            name = f"{s.key} count"
+            row = rows[s] = tuple([strict_index(v, OutOfRangeError, name, 0) for v in row]) if np.iterable(row) else ()
+            if len(row) != 4:
+                raise OutOfRangeError(f"setting {s.key} needs 4 counts")
             if sum(row) != shots:
-                raise OutOfRangeError(f"setting {setting.key} counts sum to {sum(row)}, expected {shots}")
+                raise OutOfRangeError(f"setting {s.key} counts sum to {sum(row)}, expected {shots}")
+        object.__setattr__(self, "counts", MappingProxyType(rows))
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,8 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     (seed, setting index), so results are reproducible and independent of
     evaluation order.
     """
-    shots = strict_index(shots, OutOfRangeError, "shots")
+    shots = strict_index(shots, OutOfRangeError, "shots", 1, MAX_SHOTS)
     seed = strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF
-    if not 1 <= shots <= MAX_SHOTS:
-        raise OutOfRangeError(f"shots must be in [1, 2**63 - 1], got {shots}")
     table = _born_table(qmath.pauli_coefficients(rho.matrix))
     counts = {}
     for idx, (setting, probs) in enumerate(zip(SETTINGS, table.reshape(9, 4))):

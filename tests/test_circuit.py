@@ -353,6 +353,15 @@ class TestQasm:
             with pytest.raises(InvalidLayoutError, match="basis"):
                 to_qasm(circ, measure_basis={0: basis})
         assert to_qasm(circ, layout={np.int64(0): 1, 1: np.int64(3), 2: 2, 3: 4}) == to_qasm(circ)
+        # Physical qubits are nonnegative, logical ones lie in the register; each reader says so.
+        with pytest.raises(InvalidLayoutError, match=r"physical qubit must be in \[0, inf\], got -1"):
+            to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": -1})
+        with pytest.raises(InvalidLayoutError, match=r"logical qubit must be in \[0, 3\], got 9"):
+            to_qasm(circ, measure_basis={9: "Z"})
+        # 2 * 1e308 overflows to inf: the u3 angle is refused, with no bare OverflowError.
+        with pytest.raises(OutOfRangeError, match="u3 angle"):
+            to_qasm(Circuit(1, (Gate("r", (1e308,), (0,)),)))
+        assert "u3(" in to_qasm(Circuit(1, (Gate("r", (8e307,), (0,)),)))
 
     @pytest.mark.parametrize(
         "mappings",

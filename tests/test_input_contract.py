@@ -49,6 +49,9 @@ JUNK = st.recursive(
 RHO = bd.werner(0.5)
 CHANNEL = bd.composite_damping(0.3, 0.3)
 PREP = bd.purification_circuit(bd.werner_spec(0.5))
+# The preparation circuit, or one rotation by a finite angle; its u3 angle 2x overflows above about 9e307.
+ANGLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e308, -1e308])
+CIRCUITS = st.just(PREP) | ANGLES.map(lambda x: bd.Circuit(1, (bd.Gate("r", (x,), (0,)),)))
 
 # Each public callable and the strategies of its outside arguments. Where an
 # argument is typed as one of the package's own records, it is fixed to a valid one.
@@ -61,7 +64,7 @@ FUZZED = {
     "density_matrix_from_json": (bd.density_matrix_from_json, JUNK),
     "Gate": (bd.Gate, JUNK, JUNK, JUNK),
     "Circuit": (bd.Circuit, JUNK, JUNK, JUNK),
-    "to_qasm": (lambda layout, basis: bd.to_qasm(PREP, layout, basis), JUNK, JUNK),
+    "to_qasm": (bd.to_qasm, CIRCUITS, st.none() | JUNK, st.none() | JUNK),
     "composite_damping": (bd.composite_damping, JUNK, JUNK),
     "KrausChannel": (bd.KrausChannel, JUNK),
     "apply_channel": (lambda qubit: bd.apply_channel(CHANNEL, RHO, qubit), JUNK),

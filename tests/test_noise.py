@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestCompositeDamping:
             with pytest.raises(OutOfRangeError):
                 bd.composite_damping(a, p)
 
+    @pytest.mark.parametrize(
+        "a, p, message",
+        [(1.5, 0, "rate a must be in [0, 1], got 1.5"), (0, -0.5, "rate p must be in [0, 1], got -0.5")],
+        ids=["a", "p"],
+    )
+    def test_out_of_range_message_names_the_rate(self, a, p, message):
+        with pytest.raises(OutOfRangeError, match=re.escape(message)):
+            bd.composite_damping(a, p)
+
     def test_incomplete_channel_rejected(self):
         with pytest.raises(OutOfRangeError):
             KrausChannel(operators=(np.eye(2, dtype=complex) * 0.5,))
@@ -136,8 +146,9 @@ class TestApplyChannel:
 
     def test_dimension_checks(self):
         channel = bd.composite_damping(0.1, 0.1)
-        with pytest.raises(DimensionMismatchError):
-            bd.apply_channel(channel, bd.werner(0.5), qubit=2)
+        for qubit in (2, -1):
+            with pytest.raises(DimensionMismatchError, match=re.escape(f"qubit must be in [0, 1], got {qubit}")):
+                bd.apply_channel(channel, bd.werner(0.5), qubit=qubit)
 
     @pytest.mark.parametrize("qubit", [True, False, 1.0, 0.0])
     def test_qubit_must_be_an_integer(self, qubit):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from belldiag.states import (
     bell_state_vector,
     density_matrix_from_json,
     density_matrix_to_json,
+    strict_index,
+    strict_real,
 )
 
 
@@ -51,6 +54,38 @@ class TestBellStates:
             bell_state_vector(j, k)
         with pytest.raises(OutOfRangeError, match="integer"):
             bd.bell_state(j, k)
+
+
+class TestReaderRanges:
+    """Each reader checks its closed range after the type, and raises the caller's class."""
+
+    @pytest.mark.parametrize("error", [OutOfRangeError, NotAStateError])
+    def test_index_range(self, error):
+        assert strict_index(0, error, "n", 0, 1) == 0
+        assert strict_index(np.int64(1), error, "n", 0, 1) == 1
+        for value in (-1, 2, 10**400):
+            with pytest.raises(error, match=re.escape(f"n must be in [0, 1], got {value}")):
+                strict_index(value, error, "n", 0, 1)
+        assert strict_index(-(10**400), error, "n") == -(10**400)  # open by default
+        assert strict_index(5, error, "n", 0) == 5
+
+    @pytest.mark.parametrize("error", [OutOfRangeError, InvalidProbabilitiesError])
+    def test_real_range(self, error):
+        assert strict_real(1, error, "x", 0, 1) == 1.0
+        assert strict_real(np.float32(0.0), error, "x", 0, 1) == 0.0
+        for value, shown in ((-1e-300, "-1e-300"), (1.5, "1.5"), (np.float32(2), "2.0"), (10**300, "1e+300")):
+            with pytest.raises(error, match=re.escape(f"x must be in [0, 1], got {shown}")):
+                strict_real(value, error, "x", 0, 1)
+        # The type check comes first: NaN and True are not read as out-of-range numbers.
+        for value in (np.nan, np.inf, True):
+            with pytest.raises(error, match="finite real"):
+                strict_real(value, error, "x", 0, 1)
+        assert strict_real(-1e300, error, "x") == -1e300  # open by default
+
+    def test_bell_index_range_names_the_index(self):
+        for j, k, name in ((2, 0, "j"), (0, -1, "k")):
+            with pytest.raises(OutOfRangeError, match=f"Bell index {name} must be in"):
+                bell_state_vector(j, k)
 
 
 class TestBdsSpec:

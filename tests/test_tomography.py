@@ -96,6 +96,23 @@ class TestSampleCounts:
 
 
 class TestTomographyCounts:
+    def test_holds_its_own_copy_of_the_counts(self):
+        # Changing the caller's mapping or rows after validation changes nothing.
+        d = {s: [4, 0, 0, 0] for s in SETTINGS}
+        tc = TomographyCounts(4, d)
+        before = bd.estimate_correlations(tc).values
+        d[SETTINGS[0]] = (400, 0, 0, 0)
+        d[SETTINGS[4]][0] = 400
+        np.testing.assert_array_equal(bd.estimate_correlations(tc).values, before)
+        assert tc.counts[SETTINGS[0]] == (4, 0, 0, 0) and tc.counts[SETTINGS[4]] == (4, 0, 0, 0)
+        with pytest.raises(TypeError):
+            tc.counts[SETTINGS[0]] = (0, 4, 0, 0)
+        assert dict(make_counts(4, (np.int64(4), 0, 0, 0)).counts) == {s: (4, 0, 0, 0) for s in SETTINGS}
+
+    def test_negative_count_named_by_setting(self):
+        with pytest.raises(OutOfRangeError, match=r"XX count must be in \[0, inf\], got -1"):
+            make_counts(4, (5, -1, 0, 0))
+
     def test_non_integer_counts_rejected(self):
         with pytest.raises(OutOfRangeError, match="integer"):
             TomographyCounts(4, {s: (2.5, 1.5, 0, 0) for s in SETTINGS})
