@@ -178,6 +178,9 @@ def prepared_state(spec: BdsSpec) -> DensityMatrix:
 
 
 _PI_FRACTIONS = [1, 2, 3, 4, 6, 8]
+# The largest |num| written as a pi fraction. Float spacing there is 2**-42, so above it the
+# 1e-12 test spans a few ulps and round-off decides it; above 2**53 every float passes.
+_MAX_PI_MULTIPLE = 1024
 
 
 def _format_angle(x: float) -> str:
@@ -186,7 +189,7 @@ def _format_angle(x: float) -> str:
         return "0"
     for den in _PI_FRACTIONS:
         num = x * den / math.pi
-        if abs(num - round(num)) < 1e-12 and round(num) != 0:
+        if abs(num) <= _MAX_PI_MULTIPLE and abs(num - round(num)) < 1e-12 and round(num) != 0:
             num = int(round(num))
             sign = "-" if num < 0 else ""
             num = abs(num)

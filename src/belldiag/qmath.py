@@ -1,8 +1,9 @@
 """Dense complex linear algebra primitives for small multi-qubit operators.
 
-All functions operate on square ``numpy`` arrays of ``complex`` dtype and are
-pure: inputs are never mutated. Dimensions in this package never exceed 16,
-so everything is done densely with LAPACK-backed eigendecompositions.
+Callers pass the shapes that ``DensityMatrix``, ``CorrelationMatrix`` or
+``prepared_state`` have already fixed, so this module checks content (the
+Hermiticity and the spectrum floor), not size. Every function is pure:
+inputs are never mutated.
 
 This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NegativeSpectrumError, NotHermitianError
+from .exceptions import NegativeSpectrumError, NotHermitianError
 
 # Tolerances sized to absorb round-off from 16-dimensional simulations.
 HERMITICITY_ATOL = 1e-9
@@ -37,25 +38,16 @@ PAULI_PRODUCTS = np.array([[np.kron(sj, sk) for sk in PAULIS] for sj in PAULIS])
 PAULI_PRODUCTS.setflags(write=False)
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry-wise modulus of ``m - m†``."""
-    a = _as_square(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    a = _as_square(m)
-    defect = hermiticity_defect(a)
+    defect = hermiticity_defect(m)
     if defect > HERMITICITY_ATOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m†| = {defect:.3e}")
-    return a
+    return m
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -85,23 +77,13 @@ def partial_trace(
     ``dims`` gives the dimension of each tensor factor, leftmost factor
     first; kept subsystems preserve their original relative order.
     """
-    a = _as_square(m)
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != a.shape[0]:
-        raise DimensionMismatchError(
-            f"product of dims {dims} does not match matrix dim {a.shape[0]}"
-        )
-    keep_set = set(int(k) for k in keep)
-    if not keep_set or not keep_set.issubset(range(len(dims))):
-        raise DimensionMismatchError(f"keep={sorted(keep_set)} is not a valid subsystem subset")
-
+    dims = list(dims)
+    keep = set(keep)
     n = len(dims)
-    t = a.reshape(dims + dims)
-    traced = 0
-    for idx in sorted(set(range(n)) - keep_set, reverse=True):
+    t = m.reshape(dims + dims)
+    for traced, idx in enumerate(sorted(set(range(n)) - keep, reverse=True)):
         t = np.trace(t, axis1=idx, axis2=idx + (n - traced))
-        traced += 1
-    d_keep = int(np.prod([dims[i] for i in sorted(keep_set)]))
+    d_keep = int(np.prod([dims[i] for i in keep]))
     return t.reshape(d_keep, d_keep)
 
 
@@ -112,10 +94,7 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     vectors of qubits a and b, and ``c[1:, 1:]`` is the correlation matrix.
     Only the real part is kept, which is exact for Hermitian ``m``.
     """
-    a = _as_square(m)
-    if a.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a two-qubit 4x4 operator, got shape {a.shape}")
-    return np.einsum("jkab,ba->jk", PAULI_PRODUCTS, a).real
+    return np.einsum("jkab,ba->jk", PAULI_PRODUCTS, m).real
 
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
@@ -123,9 +102,6 @@ def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
 
     The inverse of ``pauli_coefficients``.
     """
-    c = np.asarray(c)
-    if c.shape != (4, 4):
-        raise DimensionMismatchError(f"expected 4x4 Pauli coefficients, got shape {c.shape}")
     return np.einsum("jk,jkab->ab", c, PAULI_PRODUCTS) / 4.0
 
 

@@ -106,10 +106,18 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
     return DensityMatrix(rho, validate=False)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long for ``repr`` (over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _within(x, error: type[BellDiagError], name: str, lo, hi):
     if lo <= x <= hi:
         return x
-    raise error(f"{name} must be in [{lo}, {hi}], got {x!r}")
+    raise error(f"{name} must be in [{lo}, {hi}], got {_shown(x)}")
 
 
 def strict_index(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=math.inf) -> int:
@@ -122,7 +130,7 @@ def strict_index(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=
             return _within(operator.index(value), error, name, lo, hi)
         except TypeError:
             pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {_shown(value)}")
 
 
 def strict_real(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=math.inf) -> float:
@@ -136,7 +144,7 @@ def strict_real(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=m
                 return _within(x, error, name, lo, hi)
         except OverflowError:
             pass
-    raise error(f"{name} takes only finite real numbers, got {value!r}")
+    raise error(f"{name} takes only finite real numbers, got {_shown(value)}")
 
 
 def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: str) -> np.ndarray:

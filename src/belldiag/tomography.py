@@ -185,7 +185,7 @@ def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionRe
     trip is exact up to round-off. Returns the whole ``ReconstructionResult``:
     the physical ``state``, whether it was ``projected`` and the ``raw_matrix``.
     """
-    shots = strict_index(shots, OutOfRangeError, "shots")
+    shots = strict_index(shots, OutOfRangeError, "shots", 0, MAX_SHOTS)
     if shots == 0:
         corr = exact_correlations(rho)
     else:

@@ -390,4 +390,7 @@ class TestQasm:
         assert _format_angle(-np.pi / 2) == "-pi/2"
         assert _format_angle(0.0) == "0"
         assert float(_format_angle(0.123456)) == pytest.approx(0.123456)
+        assert _format_angle(1024 * np.pi) == "1024*pi"
+        assert _format_angle(1e20) == "1e+20"  # not 31830988618379067392*pi
+        assert _format_angle(5e307) == "5e+307"
 

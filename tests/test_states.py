@@ -7,7 +7,7 @@ from helpers import ginibre_state, random_spec
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import InvalidProbabilitiesError, NotAStateError, OutOfRangeError
+from belldiag.exceptions import BellDiagError, InvalidProbabilitiesError, NotAStateError, OutOfRangeError
 from belldiag.states import (
     BELL_INDICES,
     bell_state_vector,
@@ -86,6 +86,21 @@ class TestReaderRanges:
         for j, k, name in ((2, 0, "j"), (0, -1, "k")):
             with pytest.raises(OutOfRangeError, match=f"Bell index {name} must be in"):
                 bell_state_vector(j, k)
+
+    # Python refuses repr of an integer over 4,300 digits; the message gives its bit length instead.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bd.sample_counts(bd.werner(0.5), 10**5000, 1),
+            lambda: bd.Circuit(10**5000, ()),
+            lambda: bd.apply_channel(bd.composite_damping(0.1, 0.2), bd.werner(0.5), 10**5000),
+            lambda: bd.werner(10**5000),
+        ],
+        ids=["shots", "n_qubits", "qubit", "werner"],
+    )
+    def test_huge_integer_named_by_its_bit_length(self, call):
+        with pytest.raises(BellDiagError, match="got an integer of 16610 bits"):
+            call()
 
 
 class TestBdsSpec:

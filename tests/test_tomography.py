@@ -228,6 +228,14 @@ class TestReconstruct:
         with pytest.raises(DimensionMismatchError):
             CorrelationMatrix(values)
 
+    @pytest.mark.parametrize(
+        "values", [np.eye(3), np.eye(4).ravel(), np.eye(4)[:, :, None]], ids=["3x3", "16", "4x4x1"]
+    )
+    def test_wrong_shape_rejected(self, values):
+        # The one size check between reconstruct and qmath, which checks no sizes.
+        with pytest.raises(DimensionMismatchError, match="must be a 4x4 array"):
+            CorrelationMatrix(values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
         c = np.eye(4)
@@ -248,6 +256,9 @@ class TestTomograph:
             rho = ginibre_state(rng)
             out = bd.tomograph(rho, shots=0).state
             assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-10
+        # 0 is the lowest shot count accepted, and the message says so.
+        with pytest.raises(OutOfRangeError, match=r"shots must be in \[0, "):
+            bd.tomograph(rho, shots=-1)
 
     def test_shot_noise_fidelity(self):
         target = bd.werner(1.0)
