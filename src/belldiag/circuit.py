@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidLayoutError,
     OutOfRangeError,
 )
-from .states import BdsSpec, DensityMatrix, strict_index, strict_real
+from .states import BdsSpec, DensityMatrix, _shown, strict_index, strict_real
 
 GATE_KINDS = ("r", "h", "cx")
 
@@ -55,9 +55,10 @@ class Gate:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
-            raise OutOfRangeError(f"unknown gate kind {self.kind!r}")
+            raise OutOfRangeError(f"unknown gate kind {_shown(self.kind)}")
         if not (np.iterable(self.params) and np.iterable(self.targets)):
-            raise OutOfRangeError(f"gate params {self.params!r} and targets {self.targets!r} must be sequences")
+            kinds = f"{type(self.params).__name__} and {type(self.targets).__name__}"
+            raise OutOfRangeError(f"gate params and targets must be sequences, got {kinds}")
         params = tuple(strict_real(p, OutOfRangeError, "a gate angle") for p in self.params)
         targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in self.targets)
         object.__setattr__(self, "params", params)
@@ -92,12 +93,13 @@ class Circuit:
     def __post_init__(self):
         n = strict_index(self.n_qubits, DimensionMismatchError, "n_qubits", 1, MAX_QUBITS)
         if not (np.iterable(self.gates) and np.iterable(self.qubit_names)):
-            raise OutOfRangeError(f"gates {self.gates!r} and qubit_names {self.qubit_names!r} must be sequences")
+            kinds = f"{type(self.gates).__name__} and {type(self.qubit_names).__name__}"
+            raise OutOfRangeError(f"gates and qubit_names must be sequences, got {kinds}")
         gates, names = tuple(self.gates), tuple(self.qubit_names)
         if not all(isinstance(g, Gate) for g in gates):
-            raise OutOfRangeError(f"gates must be Gate instances, got {gates!r}")
+            raise OutOfRangeError(f"gates must be Gate instances, got {[type(g).__name__ for g in gates]}")
         if not all(isinstance(q, str) for q in names):
-            raise InvalidLayoutError(f"qubit names must be strings, got {names!r}")
+            raise InvalidLayoutError(f"qubit names must be strings, got {[type(q).__name__ for q in names]}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "qubit_names", names or tuple(f"q{i}" for i in range(n)))
@@ -106,10 +108,8 @@ class Circuit:
         if len(set(self.qubit_names)) != self.n_qubits:
             raise InvalidLayoutError(f"qubit_names must be distinct, got {self.qubit_names}")
         for g in self.gates:
-            if any(not 0 <= t < self.n_qubits for t in g.targets):
-                raise DimensionMismatchError(
-                    f"gate {g.kind} targets {g.targets} outside a {self.n_qubits}-qubit register"
-                )
+            for t in g.targets:
+                strict_index(t, DimensionMismatchError, f"gate {g.kind}'s target", 0, n - 1)
 
 
 def purification_circuit(spec: BdsSpec) -> Circuit:
@@ -224,7 +224,7 @@ def to_qasm(
 
     def by_logical_index(mapping: Mapping, read) -> dict:
         if not isinstance(mapping, Mapping):
-            raise InvalidLayoutError(f"expected a mapping of logical qubits, got {mapping!r}")
+            raise InvalidLayoutError(f"expected a mapping of logical qubits, got {type(mapping).__name__}")
         out = {}
         for key, value in mapping.items():
             index = logical_index(key)
@@ -236,7 +236,7 @@ def to_qasm(
     def read_basis(basis) -> str:
         b = basis.upper() if isinstance(basis, str) else None
         if b not in _MEASUREMENT_PREFIX:
-            raise InvalidLayoutError(f"unknown measurement basis {basis!r}")
+            raise InvalidLayoutError(f"unknown measurement basis {_shown(basis)}")
         return b
 
     if layout is None:
@@ -250,7 +250,7 @@ def to_qasm(
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
     if len(set(phys.values())) != len(phys):
-        raise InvalidLayoutError(f"layout is not injective into physical indices: {phys}")
+        raise InvalidLayoutError(f"layout is not injective into physical indices: {_shown(phys)}")
 
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines.append(f"qreg q[{max(phys.values()) + 1}];")

@@ -5,10 +5,6 @@ class BellDiagError(ValueError):
     """Base class for all validation errors raised by this package."""
 
 
-class NotHermitianError(BellDiagError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
 class NegativeSpectrumError(BellDiagError):
     """Matrix has an eigenvalue below the allowed clip floor."""
 

@@ -153,8 +153,6 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     point of its chart at half the step. ``refine`` does not change the
     closed form.
     """
-    if not np.all(np.isfinite(rho.matrix)):
-        raise OptimizerFailureError("state matrix has non-finite entries")
     c = qmath.pauli_coefficients(rho.matrix)
     try:
         total_mi = mutual_information(rho)

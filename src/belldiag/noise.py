@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, OutOfRangeError
 from .measures import ResourceReport, full_report
-from .states import DensityMatrix, strict_array, strict_index, strict_real, werner
+from .states import DensityMatrix, _shown, strict_array, strict_index, strict_real, werner
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -28,7 +28,7 @@ class KrausChannel:
 
     def __post_init__(self):
         if not np.iterable(self.operators):
-            raise OutOfRangeError(f"Kraus operators must be a sequence, got {self.operators!r}")
+            raise OutOfRangeError(f"Kraus operators must be a sequence, got {_shown(self.operators)}")
         ops = tuple(
             strict_array(k, complex, (2, 2), DimensionMismatchError, "a one-qubit Kraus operator")
             for k in self.operators
@@ -72,7 +72,7 @@ def decohered_werner_sweep(
 ) -> list[tuple[float, ResourceReport]]:
     """Measures of Werner states after damping qubit a, for each weight."""
     if not (np.iterable(w_grid) and hasattr(w_grid, "__len__")) or len(w_grid) == 0:
-        raise OutOfRangeError(f"w_grid must be a nonempty sequence, got {w_grid!r}")
+        raise OutOfRangeError(f"w_grid must be a nonempty sequence, got {type(w_grid).__name__}")
     channel = composite_damping(a, p)
     out = []
     for w in w_grid:

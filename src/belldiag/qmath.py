@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives for small multi-qubit operators.
 
-Callers pass the shapes that ``DensityMatrix``, ``CorrelationMatrix`` or
-``prepared_state`` have already fixed, so this module checks content (the
-Hermiticity and the spectrum floor), not size. Every function is pure:
-inputs are never mutated.
+Callers pass shapes that ``DensityMatrix``, ``CorrelationMatrix`` or
+``prepared_state`` have already fixed, and ``DensityMatrix`` decides a
+state's Hermiticity, so this module checks only the spectrum floor. Every
+function is pure: inputs are never mutated.
 
 This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import NegativeSpectrumError, NotHermitianError
+from .exceptions import NegativeSpectrumError
 
 # Tolerances sized to absorb round-off from 16-dimensional simulations.
 HERMITICITY_ATOL = 1e-9
@@ -40,20 +40,12 @@ PAULI_PRODUCTS.setflags(write=False)
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry-wise modulus of ``m - m†``."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_ATOL:
-        raise NotHermitianError(f"matrix is not Hermitian: max |m - m†| = {defect:.3e}")
-    return m
+    return float(np.abs(m - m.conj().T).max())
 
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    a = require_hermitian(m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -62,7 +54,7 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     Eigenvalues in ``[STATE_MIN_EIGENVALUE, 0)`` are treated as round-off and
     clipped to zero; anything lower raises ``NegativeSpectrumError``.
     """
-    w, v = np.linalg.eigh(require_hermitian(m))
+    w, v = np.linalg.eigh(m)
     if w[0] < STATE_MIN_EIGENVALUE:
         raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
     s = np.sqrt(np.clip(w, 0.0, None))

@@ -51,21 +51,25 @@ class BdsSpec:
 
 
 class DensityMatrix:
-    """A validated trace-one Hermitian PSD matrix on two qubits; any other shape is rejected."""
+    """A trace-one Hermitian PSD matrix on two qubits; any other shape is rejected.
+
+    Even with ``validate=False`` the matrix must be Hermitian, with finite entries within 2 in
+    modulus; that skips only the trace and the spectrum floor, which a raw linear inversion may fail.
+    """
 
     __slots__ = ("matrix",)
     n_qubits = 2
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
         m = strict_array(matrix, complex, (4, 4), NotAStateError, "a two-qubit density matrix")
+        # No entry of a state exceeds 1 in modulus. Twice that refuses no state, and keeps NaN
+        # (max propagates it, and it fails <=), the infinities and overflow out of the checks below.
+        if not np.abs(m.view(float)).max() <= 2.0:
+            raise NotAStateError("matrix has non-finite or out-of-range entries")
+        defect = qmath.hermiticity_defect(m)
+        if defect > qmath.HERMITICITY_ATOL:
+            raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")
         if validate:
-            # No entry of a state exceeds 1 in modulus. Twice that refuses no state, and keeps
-            # NaN, the infinities and entries that would overflow the checks below out.
-            if not np.all(np.abs(m.view(float)) <= 2.0):
-                raise NotAStateError("matrix has non-finite or out-of-range entries")
-            defect = qmath.hermiticity_defect(m)
-            if defect > qmath.HERMITICITY_ATOL:
-                raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")
             tr = float(np.trace(m).real)
             if abs(tr - 1.0) > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"trace is {tr!r}, expected 1")
@@ -107,11 +111,11 @@ def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or the bit length of an integer too long for ``repr`` (over 4,300 digits)."""
+    """``repr(value)``; where that fails, an integer's bit length (over 4,300 digits) or a container's type."""
     try:
         return repr(value)
     except ValueError:
-        return f"an integer of {value.bit_length()} bits"
+        return f"an integer of {value.bit_length()} bits" if isinstance(value, int) else f"a {type(value).__name__}"
 
 
 def _within(x, error: type[BellDiagError], name: str, lo, hi):
@@ -150,7 +154,8 @@ def strict_real(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=m
 def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: str) -> np.ndarray:
     """A new read-only ``dtype`` array of ``value``, raising ``error``, naming ``name``, unless of ``shape``.
 
-    Elements must be int, uint, float or complex (complex only into a complex ``dtype``).
+    Elements must be int, uint, float or complex (complex only into a complex ``dtype``). The copy is
+    in C order whatever the input's, so that the bound checks can read a complex array as floats.
     """
     try:
         a = np.asarray(value)
@@ -159,7 +164,7 @@ def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: s
     if a.shape != shape or a.dtype.kind not in "iuf" + np.dtype(dtype).kind:
         size = "x".join(map(str, shape))
         raise error(f"{name} must be a {size} array of {np.dtype(dtype)}, got {a.dtype} of shape {a.shape}")
-    a = np.array(a, dtype=dtype)
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qmath
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .states import DensityMatrix, strict_array, strict_index
+from .states import DensityMatrix, _shown, strict_array, strict_index
 
 BASES = ("X", "Y", "Z")
 MAX_SHOTS = np.iinfo(np.int64).max  # the most trials numpy's multinomial takes
@@ -40,7 +40,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         if not all(isinstance(b, str) and b in BASES for b in (self.basis_a, self.basis_b)):
-            raise OutOfRangeError(f"bases must be among {BASES}, got {self.basis_a!r}, {self.basis_b!r}")
+            raise OutOfRangeError(f"bases must be among {BASES}, got {_shown(self.basis_a)}, {_shown(self.basis_b)}")
 
     @property
     def key(self) -> str:
@@ -64,11 +64,11 @@ class TomographyCounts:
         if not 1 <= shots <= MAX_SHOTS:  # by hand, so that a counts file is told "2**63 - 1"
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
         if not isinstance(self.counts, Mapping):
-            raise OutOfRangeError(f"counts must map each setting to its four counts, got {self.counts!r}")
+            raise OutOfRangeError(f"counts must map each setting to its four counts, got {type(self.counts).__name__}")
         if set(self.counts) != set(SETTINGS):
             missing = sorted(s.key for s in set(SETTINGS) - set(self.counts))
-            extra = [s for s in self.counts if s not in SETTINGS]
-            raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra {extra}")
+            extra = ", ".join(_shown(s) for s in self.counts if s not in SETTINGS)
+            raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra [{extra}]")
         rows = {}  # an owned copy: the caller's mapping and rows may change after this check
         for s, row in self.counts.items():
             name = f"{s.key} count"
@@ -76,7 +76,7 @@ class TomographyCounts:
             if len(row) != 4:
                 raise OutOfRangeError(f"setting {s.key} needs 4 counts")
             if sum(row) != shots:
-                raise OutOfRangeError(f"setting {s.key} counts sum to {sum(row)}, expected {shots}")
+                raise OutOfRangeError(f"setting {s.key} counts sum to {_shown(sum(row))}, expected {shots}")
         object.__setattr__(self, "counts", MappingProxyType(rows))
 
 

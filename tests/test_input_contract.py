@@ -2,12 +2,14 @@
 
 Every argument that comes from outside the package is drawn from one junk
 strategy. A call may return, or raise a ``BellDiagError``; any other exception
-escapes the contract. The command line has its own twin: it exits with 0, 2
-or 3, and argparse's own usage errors count as exit 2.
+escapes the contract. The functions that take a state get matrices held with
+``validate=False``, junk included. The command line has its own twin: it exits
+with 0, 2 or 3, and argparse's own usage errors count as exit 2.
 """
 
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 import belldiag as bd
 from belldiag.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from belldiag.exceptions import BellDiagError
+from belldiag.measures import mutual_information
 from belldiag.tomography import SETTINGS
 
 SCALARS = st.one_of(
@@ -76,8 +79,9 @@ FUZZED = {
     "tomograph": (lambda shots, seed: bd.tomograph(RHO, shots, seed), JUNK, JUNK),
     "sample_counts": (lambda shots, seed: bd.sample_counts(RHO, shots, seed), JUNK, JUNK),
 }
-# Not fuzzed. These take only a DensityMatrix, the measures and fidelity among
-# them; sample_counts, tomograph and apply_channel take one as rho, fixed above.
+# Fuzzed apart, in ON_A_STATE below: these take only a DensityMatrix, the measures
+# and fidelity among them. sample_counts, tomograph and apply_channel, which take one
+# as rho, are fuzzed above with a fixed state and below with a drawn one.
 TAKES_A_DENSITY_MATRIX = (
     "full_report",
     "coherence_l1",
@@ -119,6 +123,96 @@ def test_public_readers_raise_only_bell_diag_errors(name, data):
         call(*args)
     except BellDiagError:
         pass
+
+
+# Each call that reads a state, on a drawn one; the other arguments are fixed and valid.
+ON_A_STATE = {
+    **{name: getattr(bd, name) for name in TAKES_A_DENSITY_MATRIX if name not in ("fidelity", "born_probabilities")},
+    "mutual_information": mutual_information,
+    "fidelity": lambda rho: bd.fidelity(rho, RHO),
+    "fidelity-reversed": lambda rho: bd.fidelity(RHO, rho),
+    "born_probabilities": lambda rho: bd.born_probabilities(rho, SETTINGS[4]),
+    "sample_counts": lambda rho: bd.sample_counts(rho, 64, 1),
+    "tomograph": lambda rho: bd.tomograph(rho, 0),
+    "apply_channel": lambda rho: bd.apply_channel(CHANNEL, rho),
+}
+ENTRIES = st.complex_numbers(max_magnitude=3, allow_nan=False) | st.sampled_from([np.nan, np.inf, -np.inf, 1e308])
+
+
+def hermitized(drawn: tuple[np.ndarray, bool]) -> np.ndarray:
+    a, hermitize = drawn
+    with np.errstate(all="ignore"):  # inf - inf and the like are part of the draw
+        return a / 2 + a.conj().T / 2 if hermitize else a
+
+
+STATE_MATRICES = st.tuples(hnp.arrays(complex, (4, 4), elements=ENTRIES), st.booleans()).map(hermitized)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(matrix=STATE_MATRICES)
+def test_functions_of_a_state_raise_only_bell_diag_errors(matrix):
+    # An unvalidated state is still finite, bounded and Hermitian, so every function of one
+    # returns or refuses it; a NaN or a non-Hermitian matrix is refused when it is held.
+    try:
+        rho = bd.DensityMatrix(matrix, validate=False)
+    except BellDiagError:
+        return
+    for call in ON_A_STATE.values():
+        try:
+            call(rho)
+        except BellDiagError:
+            pass
+
+
+H = 10**5000  # over 4,300 digits, so that repr(H) raises ValueError
+BITS = "an integer of 16610 bits"
+
+
+# A message names such an integer by its bit length, and an outside container by its type.
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: bd.TomographyCounts(4, {s: (H, 0, 0, 0) for s in SETTINGS}), f"sum to {BITS}"),
+        (lambda: bd.TomographyCounts(4, H), "got int"),
+        (lambda: bd.TomographyCounts(4, {(H,): (4, 0, 0, 0)}), "extra [a tuple]"),
+        (lambda: bd.Gate(H), f"kind {BITS}"),
+        (lambda: bd.Gate("r", H, (0,)), "got int and tuple"),
+        (lambda: bd.Circuit(2, H), "got int and tuple"),
+        (lambda: bd.Circuit(2, (H,)), "got ['int']"),
+        (lambda: bd.Circuit(2, (), H), "got tuple and int"),
+        (lambda: bd.Circuit(2, (), (H, 1)), "got ['int', 'int']"),
+        (lambda: bd.Circuit(2, (bd.Gate("h", (), (H,)),)), f"got {BITS}"),
+        (lambda: bd.KrausChannel(H), f"got {BITS}"),
+        (lambda: bd.decohered_werner_sweep(0.1, 0.1, H), "got int"),
+        (lambda: bd.MeasurementSetting(H, "X"), f"got {BITS}, 'X'"),
+        (lambda: bd.MeasurementSetting([H], "X"), "got a list, 'X'"),
+        (lambda: bd.to_qasm(PREP, layout=H), "got int"),
+        (lambda: bd.to_qasm(PREP, measure_basis={0: H}), f"basis {BITS}"),
+        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": H, "c": 1, "d": 2}), "indices: a dict"),
+    ],
+    ids=[
+        "counts-row",
+        "counts-not-a-mapping",
+        "counts-extra-setting",
+        "gate-kind",
+        "gate-params",
+        "circuit-gates",
+        "circuit-gate-item",
+        "circuit-names",
+        "circuit-name-item",
+        "circuit-gate-target",
+        "kraus-operators",
+        "sweep-grid",
+        "setting-basis",
+        "setting-basis-list",
+        "qasm-layout",
+        "qasm-measure-basis",
+        "qasm-layout-not-injective",
+    ],
+)
+def test_messages_name_huge_integers_without_repr(call, shown):
+    with pytest.raises(BellDiagError, match=re.escape(shown)):
+        call()
 
 
 NUMBER_TEXT = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=4))

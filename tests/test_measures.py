@@ -9,7 +9,7 @@ from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativit
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import BellDiagError, NotAStateError, OptimizerFailureError
+from belldiag.exceptions import BellDiagError, NotAStateError
 from belldiag.measures import mutual_information
 
 SQRT2 = math.sqrt(2.0)
@@ -93,9 +93,10 @@ class TestDiscord:
         assert bd.discord_oz(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_non_finite_input_raises(self):
+        # The state record refuses NaN even unvalidated, so discord never sees one.
         bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         bad[0, 0] = np.nan
-        with pytest.raises(OptimizerFailureError):
+        with pytest.raises(NotAStateError, match="non-finite"):
             bd.discord_oz(bd.DensityMatrix(bad, validate=False))
 
     def test_optimizer_failure_is_a_validation_error(self):

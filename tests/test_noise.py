@@ -102,6 +102,16 @@ class TestCompositeDamping:
         with pytest.raises(DimensionMismatchError):
             KrausChannel(operators=(op,))
 
+    @pytest.mark.parametrize("order", ["transposed", "fortran-order"])
+    def test_operators_in_any_memory_order(self, order):
+        # The entry bound reads each operator as floats, which needs a C-ordered copy. The
+        # Pauli matrices over 2 make the depolarizing channel, and so do their transposes.
+        ops = tuple(p / 2 for p in bd.qmath.PAULIS)
+        given = tuple(k.T for k in ops) if order == "transposed" else tuple(map(np.asfortranarray, ops))
+        for k, held in zip(given, KrausChannel(operators=given).operators):
+            np.testing.assert_array_equal(held, k)
+            assert held.flags.c_contiguous
+
     # 1e300 is finite, but its square overflows the completeness sum.
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     def test_non_finite_operator_rejected(self, bad):

@@ -5,7 +5,7 @@ from oracles import apply_channel_superoperator
 
 import belldiag as bd
 from belldiag import qmath
-from belldiag.exceptions import NegativeSpectrumError, NotHermitianError
+from belldiag.exceptions import NegativeSpectrumError
 from belldiag.noise import KrausChannel, apply_channel
 from belldiag.states import BELL_INDICES, bell_state_vector
 
@@ -130,11 +130,6 @@ class TestHermitianEigen:
             np.testing.assert_allclose(root @ root, h @ h, atol=1e-9)
             assert qmath.hermiticity_defect(root) < 1e-10
             assert np.trace(root).real == pytest.approx(qmath.trace_norm(h), rel=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        for f in (qmath.matrix_sqrt_psd, qmath.trace_norm):
-            with pytest.raises(NotHermitianError):
-                f(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestTraceNorm:

@@ -223,12 +223,18 @@ def maximally_mixed(n_qubits: int) -> np.ndarray:
     return np.eye(2**n_qubits, dtype=complex) / 2**n_qubits
 
 
+# Two ways to hand over an array that is not C-ordered. The transpose of a state is a state.
+MEMORY_ORDERS = {"transposed": np.transpose, "fortran-order": np.asfortranarray}
+COMPLEX_STATE = ginibre_state(np.random.default_rng(3), rank=2).matrix
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = maximally_mixed(2)
         m[0, 1] = 0.25
-        with pytest.raises(NotAStateError, match="Hermitian"):
-            bd.DensityMatrix(m)
+        for validate in (True, False):
+            with pytest.raises(NotAStateError, match="Hermitian"):
+                bd.DensityMatrix(m, validate=validate)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(NotAStateError, match="trace"):
@@ -239,17 +245,18 @@ class TestDensityMatrix:
             bd.DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NotAStateError, match="non-finite"):
-            bd.DensityMatrix(np.full((4, 4), np.nan))
-        # Finite, but large enough to overflow the Hermiticity and trace checks.
-        for huge in (np.full((4, 4), 1e308), np.diag([1e308, 1e308, -1e308, 0.0])):
-            with pytest.raises(NotAStateError, match="out-of-range"):
-                bd.DensityMatrix(huge)
-        for bad in (np.nan, np.inf):
-            m = np.eye(4, dtype=complex) / 4
-            m[1, 2] = m[2, 1] = bad
+        for validate in (True, False):
             with pytest.raises(NotAStateError, match="non-finite"):
-                bd.DensityMatrix(m)
+                bd.DensityMatrix(np.full((4, 4), np.nan), validate=validate)
+            # Finite, but large enough to overflow the Hermiticity and trace checks.
+            for huge in (np.full((4, 4), 1e308), np.diag([1e308, 1e308, -1e308, 0.0])):
+                with pytest.raises(NotAStateError, match="out-of-range"):
+                    bd.DensityMatrix(huge, validate=validate)
+            for bad in (np.nan, np.inf):
+                m = np.eye(4, dtype=complex) / 4
+                m[1, 2] = m[2, 1] = bad
+                with pytest.raises(NotAStateError, match="non-finite"):
+                    bd.DensityMatrix(m, validate=validate)
 
     def test_rejects_fewer_than_one_qubit(self):
         for m in (np.ones((1, 1)), np.zeros((0, 0))):
@@ -288,6 +295,15 @@ class TestDensityMatrix:
         for validate in (True, False):
             with pytest.raises(NotAStateError):
                 bd.DensityMatrix(matrix, validate=validate)
+
+    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+    @pytest.mark.parametrize("order", sorted(MEMORY_ORDERS))
+    def test_takes_any_memory_order(self, order, validate):
+        # The entry bound reads the complex matrix as floats, which needs a C-ordered copy.
+        given = MEMORY_ORDERS[order](COMPLEX_STATE)
+        held = bd.DensityMatrix(given, validate=validate).matrix
+        np.testing.assert_array_equal(held, given)
+        assert held.flags.c_contiguous
 
     def test_immutable(self):
         rho = bd.werner(0.5)
