@@ -32,6 +32,8 @@ _CX_MATRIX = np.array(
 
 # The largest register: 2**16 amplitudes make a 1 MiB state vector.
 MAX_QUBITS = 16
+# The largest OpenQASM register to_qasm writes, so physical indices run below it.
+MAX_PHYSICAL_QUBITS = 2**16
 # 4-qubit register of the preparation circuit.
 PREP_QUBIT_NAMES = ("a", "b", "c", "d")
 # Hardware encoding used for QASM export: a->Q1, b->Q3, c->Q2, d->Q4.
@@ -252,8 +254,8 @@ def to_qasm(
     if len(set(phys.values())) != len(phys):
         raise InvalidLayoutError(f"layout is not injective into physical indices: {_shown(phys)}")
 
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    lines.append(f"qreg q[{max(phys.values()) + 1}];")
+    size = strict_index(max(phys.values()) + 1, InvalidLayoutError, "the register size", 1, MAX_PHYSICAL_QUBITS)
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{size}];"]
 
     bases = by_logical_index({} if measure_basis is None else measure_basis, read_basis)
     measured = sorted(bases.items())

@@ -1,7 +1,7 @@
 """Command-line driver: preparation, Werner sweeps, measurement, tomography.
 
-Exit codes: 0 success, 2 input validation failure, 3 I/O failure. Input
-files are read as bytes, so one that is not UTF-8 is malformed input.
+Exit codes: 0 success, 2 invalid input or a LAPACK failure, 3 I/O failure.
+Input files are read as bytes, so one that is not UTF-8 is malformed input.
 """
 
 from __future__ import annotations
@@ -220,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ``BellDiagError`` exits with 2 and an ``OSError`` with 3."""
+    """Run one command; a ``BellDiagError`` or ``LinAlgError`` exits with 2 and an ``OSError`` with 3."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BellDiagError as exc:
+    except (BellDiagError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -28,6 +28,3 @@ class OutOfRangeError(BellDiagError):
 class InvalidLayoutError(BellDiagError):
     """Qubit layout is not an injective map onto physical indices."""
 
-
-class OptimizerFailureError(BellDiagError):
-    """Numerical optimization produced non-finite objective values."""

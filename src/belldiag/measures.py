@@ -1,10 +1,11 @@
 """Quantumness measures: coherence, discord, negativity, steering, nonlocality.
 
-``bloch_decompose`` returns the Pauli blocks of a state: the Bloch vectors a,
-b and the correlation matrix T. Steering and nonlocality read the singular
-values of T. Discord follows the measured-mutual-information definition: the
-maximum is taken over rank-one projective measurements on qubit b. Measuring
-qubit b along the unit axis n leaves qubit a in the conditional states
+The measures read the Pauli coefficients ``c`` from ``rho.pauli``, computed
+once per state. ``bloch_decompose`` returns its blocks: the Bloch vectors a, b
+and the correlation matrix T. Steering and nonlocality read the singular values
+of T. Discord follows the measured-mutual-information definition: the maximum
+is taken over rank-one projective measurements on qubit b. Measuring qubit b
+along the unit axis n leaves qubit a in the conditional states
 ``(1/4)[(1 +- b.n) I + (a +- T n).sigma]`` with probabilities
 ``(1 +- b.n)/2`` and eigenvalues ``(1 +- b.n +- |a +- T n|)/4``. One real
 objective, vectorized over axes, gives the measured mutual information from
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qmath
-from .exceptions import OptimizerFailureError
 from .states import DensityMatrix
 
 SQRT2 = math.sqrt(2.0)
@@ -80,13 +80,13 @@ def nonlocal_coherence(rho: DensityMatrix) -> float:
     A qubit with Bloch vector r has l1 coherence ``|r_x - i r_y|``, so the
     marginal coherences are read off the Pauli coefficients.
     """
-    c = qmath.pauli_coefficients(rho.matrix)
+    c = rho.pauli
     return coherence_l1(rho) - math.hypot(c[1, 0], c[2, 0]) - math.hypot(c[0, 1], c[0, 2])
 
 
 def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors ``a``, ``b`` and correlation matrix ``T`` of a two-qubit state."""
-    c = qmath.pauli_coefficients(rho.matrix)
+    c = rho.pauli
     return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
@@ -123,7 +123,7 @@ def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Quantum mutual information S(rho_a) + S(rho_b) - S(rho)."""
-    c = qmath.pauli_coefficients(rho.matrix)
+    c = rho.pauli
     joint = qmath.entropy_bits(np.linalg.eigvalsh(rho.matrix))
     return float(_qubit_entropy(c[1:, 0]) + _qubit_entropy(c[0, 1:]) - joint)
 
@@ -153,11 +153,7 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     point of its chart at half the step. ``refine`` does not change the
     closed form.
     """
-    c = qmath.pauli_coefficients(rho.matrix)
-    try:
-        total_mi = mutual_information(rho)
-    except np.linalg.LinAlgError as exc:
-        raise OptimizerFailureError(f"inner eigenvalue computation failed: {exc}") from exc
+    c = rho.pauli
     if max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= ROUNDOFF_CLAMP:
         best = _measured_mi(c, np.linalg.svd(c[1:, 1:])[2][0])
     else:
@@ -169,14 +165,10 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
             uv = centres + _STENCIL * step
             n = _CHARTS[:, :1] + uv @ _CHARTS[:, 1:]
             trial = _measured_mi(c, n / np.linalg.norm(n, axis=-1, keepdims=True))
-            # np.max, unlike max, keeps a NaN for the check below.
             best = np.max(trial, initial=best)
             centres = uv[rows, np.argmax(trial, axis=1)][:, None, :]
             step /= 2
-    if not (np.isfinite(total_mi) and np.isfinite(best)):
-        raise OptimizerFailureError("measured mutual information is not finite")
-
-    return max(0.0, total_mi - float(_qubit_entropy(c[1:, 0])) - float(best))
+    return max(0.0, mutual_information(rho) - float(_qubit_entropy(c[1:, 0])) - float(best))
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:

@@ -57,7 +57,7 @@ class DensityMatrix:
     modulus; that skips only the trace and the spectrum floor, which a raw linear inversion may fail.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_pauli")
     n_qubits = 2
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
@@ -77,6 +77,14 @@ class DensityMatrix:
             if min_eig < qmath.STATE_MIN_EIGENVALUE:
                 raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def pauli(self) -> np.ndarray:
+        """Read-only Pauli coefficients ``c_jk = Tr(rho sigma_j x sigma_k)``, computed on first read and kept."""
+        if not hasattr(self, "_pauli"):
+            object.__setattr__(self, "_pauli", qmath.pauli_coefficients(self.matrix))
+            self._pauli.setflags(write=False)
+        return self._pauli
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

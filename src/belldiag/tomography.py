@@ -116,7 +116,7 @@ def _born_table(c: np.ndarray) -> np.ndarray:
 
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
     """Joint outcome probabilities (++, +-, -+, --) for one setting."""
-    return _born_table(qmath.pauli_coefficients(rho.matrix)).reshape(9, 4)[SETTINGS.index(setting)]
+    return _born_table(rho.pauli).reshape(9, 4)[SETTINGS.index(setting)]
 
 
 def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts:
@@ -128,7 +128,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     """
     shots = strict_index(shots, OutOfRangeError, "shots", 1, MAX_SHOTS)
     seed = strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF
-    table = _born_table(qmath.pauli_coefficients(rho.matrix))
+    table = _born_table(rho.pauli)
     counts = {}
     for idx, (setting, probs) in enumerate(zip(SETTINGS, table.reshape(9, 4))):
         probs = probs / probs.sum()
@@ -156,9 +156,9 @@ def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
 
 def exact_correlations(rho: DensityMatrix) -> CorrelationMatrix:
     """Infinite-shot correlation matrix: the state's Pauli coefficients."""
-    c = qmath.pauli_coefficients(rho.matrix)
+    c = np.clip(rho.pauli, -1.0, 1.0)
     c[0, 0] = 1.0
-    return CorrelationMatrix(np.clip(c, -1.0, 1.0))
+    return CorrelationMatrix(c)
 
 
 def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:

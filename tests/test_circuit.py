@@ -8,6 +8,7 @@ from oracles import qasm_reduced_state
 import belldiag as bd
 from belldiag import qmath
 from belldiag.circuit import (
+    MAX_PHYSICAL_QUBITS,
     MAX_QUBITS,
     Circuit,
     Gate,
@@ -323,6 +324,13 @@ class TestQasm:
         circ = Circuit(n_qubits=1, gates=())
         lines = to_qasm(circ, measure_basis={0: "X"}).splitlines()
         assert lines[-2:] == ["h q[0];", "measure q[0] -> c[0];"]
+
+    def test_register_size_is_bounded(self):
+        circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
+        top = MAX_PHYSICAL_QUBITS - 1
+        assert f"qreg q[{MAX_PHYSICAL_QUBITS}];" in to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": top})
+        with pytest.raises(InvalidLayoutError, match=r"register size must be in \[1, 65536\], got 65537"):
+            to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": MAX_PHYSICAL_QUBITS})
 
     def test_custom_layout_and_errors(self):
         circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))

@@ -239,6 +239,7 @@ class TestErrorPath:
             ("sweep", "--points", "2", "--shots", "9223372036854775808"),
             ("prepare", "--werner", "0.5", "--layout", "zz:9"),
             ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:4,a:0"),
+            ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:70000"),
         ],
         ids=[
             "text-probs",
@@ -251,6 +252,7 @@ class TestErrorPath:
             "shots-2**63",
             "layout-without-qasm",
             "layout-repeated-name",
+            "layout-beyond-register",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv):
@@ -258,6 +260,20 @@ class TestErrorPath:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+
+    def test_lapack_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The validated constructor's spectrum check is the first LAPACK call `measure` makes.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = tmp_path / "state.json"
+        path.write_text(density_matrix_to_json(bd.werner(0.5)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and "did not converge" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["measure", "tomograph"])
     def test_non_utf8_file_exits_2(self, tmp_path, command):

@@ -189,6 +189,7 @@ BITS = "an integer of 16610 bits"
         (lambda: bd.to_qasm(PREP, layout=H), "got int"),
         (lambda: bd.to_qasm(PREP, measure_basis={0: H}), f"basis {BITS}"),
         (lambda: bd.to_qasm(PREP, layout={"a": H, "b": H, "c": 1, "d": 2}), "indices: a dict"),
+        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": 0, "c": 1, "d": 2}), f"register size must be in [1, 65536], got {BITS}"),
     ],
     ids=[
         "counts-row",
@@ -208,6 +209,7 @@ BITS = "an integer of 16610 bits"
         "qasm-layout",
         "qasm-measure-basis",
         "qasm-layout-not-injective",
+        "qasm-register-size",
     ],
 )
 def test_messages_name_huge_integers_without_repr(call, shown):

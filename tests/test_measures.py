@@ -321,6 +321,17 @@ class TestLocalUnitaryInvariance:
         assert bd.discord_oz(rotated) == pytest.approx(bd.discord_oz(rho), abs=1e-7)
 
 
+class TestSwapSymmetry:
+    # Discord measures qubit b only, so it is not symmetric and is left out.
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_symmetric_measures_ignore_the_qubit_order(self, seed, rank):
+        rho = ginibre_state(np.random.default_rng(seed), rank=rank)
+        swapped = bd.DensityMatrix(rho.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
+        for measure in (bd.negativity, bd.steering, bd.nonlocality, bd.coherence_l1, bd.nonlocal_coherence):
+            assert measure(swapped) == pytest.approx(measure(rho), abs=1e-12), measure.__name__
+
+
 class TestHierarchy:
     def test_implication_chain_on_random_states(self, rng):
         floor = 1e-9

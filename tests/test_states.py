@@ -313,6 +313,30 @@ class TestDensityMatrix:
             rho.matrix[0, 0] = 2.0
 
 
+class TestPauliCoefficients:
+    def test_read_only_and_kept(self, rng):
+        for rho in (ginibre_state(rng, rank=2), bd.werner(0.5)):
+            c = rho.pauli
+            np.testing.assert_array_equal(c, qmath.pauli_coefficients(rho.matrix))
+            assert rho.pauli is c
+            with pytest.raises(ValueError):
+                c[1, 1] = 0.0
+            with pytest.raises(AttributeError):
+                rho.pauli = np.eye(4)
+
+    def test_one_conversion_per_state(self, rng, monkeypatch):
+        calls = []
+        convert = qmath.pauli_coefficients
+        monkeypatch.setattr(qmath, "pauli_coefficients", lambda m: calls.append(m) or convert(m))
+        for rho in (ginibre_state(rng), bd.werner(0.5)):
+            assert not calls  # building a state converts nothing
+            bd.full_report(rho)
+            assert len(calls) == 1
+            calls.clear()
+        bd.sample_counts(bd.werner(0.5), 64, seed=1)
+        assert len(calls) == 1
+
+
 class TestFidelity:
     def test_self(self, rng):
         rho = ginibre_state(rng)

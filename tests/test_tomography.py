@@ -158,6 +158,15 @@ class TestEstimateCorrelations:
         expected[0, 0] = 1.0
         np.testing.assert_allclose(bd.estimate_correlations(counts).values, expected)
 
+    def test_clip_holds_above_2_53_shots(self):
+        # The counts fit no float: n = 2**53 + 3 rounds to 2**53 + 4 and the shots 2**54 + 2
+        # to 2**54, so each c_jk comes out 1 + 2**-52, which the 1e-12 tolerance of
+        # CorrelationMatrix would accept. Only the clip keeps it at 1.
+        shots, row = 2**54 + 2, (2**53 + 3, 0, 0, 2**53 - 1)
+        assert np.array(row, dtype=float) @ [1, -1, -1, 1] / shots == 1 + 2**-52
+        values = bd.estimate_correlations(make_counts(shots, row)).values
+        assert np.abs(values).max() == 1.0
+
     def test_matches_per_setting_sums(self, rng):
         # Per-setting sums in exact rationals, rounded once: the estimate is the
         # correctly rounded value for any shot count, not only powers of two.
