@@ -14,6 +14,7 @@ from .measures import (
     coherence_l1,
     discord_oz,
     full_report,
+    full_reports,
     negativity,
     nonlocal_coherence,
     nonlocality,

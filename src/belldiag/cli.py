@@ -114,13 +114,16 @@ def _sweep_rows(args) -> list[str]:
     Without ``--p`` the rows follow the Werner family. With it, each row
     mixes the maximally mixed state toward that spec with weight w, which
     reduces to the Werner family when the target is the (1,1) Bell state.
+    Every row's target and measured state are built first, each row sampled
+    with its own seed ``seed * 100003 + i`` as before; one ``full_reports``
+    call then measures them all, so discord is searched on stacks of states.
     """
     channel = noise.composite_damping(*_parse_noise(args.noise)) if args.noise else None
     target_p = _parse_probs(args.p).probabilities if args.p else None
     if args.points < 1 or args.shots < 0:
         raise BellDiagError("--points must be >= 1 and --shots >= 0")
 
-    rows = []
+    heads, measured, targets = [], [], []
     for i in range(args.points):
         w = i / (args.points - 1) if args.points > 1 else 0.0
         if target_p is None:
@@ -132,17 +135,18 @@ def _sweep_rows(args) -> list[str]:
         if channel is not None:
             state = noise.apply_channel(channel, state, qubit=0)
         result = tomography.tomograph(state, args.shots, args.seed * 100003 + i)
-        fid = states.fidelity(result.state, target)
+        heads.append([w, states.fidelity(result.state, target)])
         if args.no_project:
-            measured = states.DensityMatrix(result.raw_matrix, validate=False)
+            measured.append(states.DensityMatrix(result.raw_matrix, validate=False))
         else:
-            measured = result.state
-        report = measures.full_report(measured)
-        theory = measures.full_report(target)
+            measured.append(result.state)
+        targets.append(target)
 
-        values = [w, fid] + _report_row(report) + _report_row(theory)
-        rows.append(",".join(_fmt(v) for v in values))
-    return rows
+    reports = measures.full_reports(measured + targets)
+    return [
+        ",".join(_fmt(v) for v in head + _report_row(report) + _report_row(theory))
+        for head, report, theory in zip(heads, reports, reports[args.points :])
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -158,7 +162,7 @@ def cmd_measure(args) -> int:
         "diagnostics": {
             "hermiticity_defect": qmath.hermiticity_defect(rho.matrix),
             "trace": float(np.trace(rho.matrix).real),
-            "min_eigenvalue": float(np.linalg.eigvalsh(rho.matrix)[0]),
+            "min_eigenvalue": float(rho.spectrum[0]),
         },
         "measures": measures.full_report(rho).as_dict(),
     }

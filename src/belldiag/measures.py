@@ -19,12 +19,19 @@ with tangents e_{k+1} and e_{k+2}; n and -n are the same measurement, so every
 axis lies in the cell |u|, |v| <= 1 of the chart of its largest component.
 Each round evaluates a 5x5 stencil on all three charts at once, re-centres
 each chart on its best point and halves the step.
+
+The objective and the stencil loop run on a stack of states, along a leading
+state axis; a mask sends each state of the stack to the closed form or to the
+stencil. ``full_reports`` measures a list of states, searching discord on
+stacks of up to ``REPORT_CHUNK`` of them, and ``discord_oz`` and
+``full_report`` are the stack of one, so every state takes the same formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +50,9 @@ ROUNDOFF_CLAMP = 1e-9
 # exceeds 1, so it can reach any point of the cell |u|, |v| <= 1.
 DISCORD_FIRST_STEP = math.pi / 8
 DISCORD_REFINE_ROUNDS = 16
+# States per discord search in ``full_reports``. A stack shares the per-call cost of the
+# stencil's small array operations; chunking bounds the search's memory for any number of states.
+REPORT_CHUNK = 32
 # Chart k maps (u, v) to the axis e_k + u e_{k+1} + v e_{k+2}, indices mod 3;
 # _CHARTS[k] holds e_k, e_{k+1} and e_{k+2} as rows.
 _CHARTS = np.eye(3)[(np.arange(3)[:, None] + np.arange(3)) % 3]
@@ -124,20 +134,57 @@ def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
 def mutual_information(rho: DensityMatrix) -> float:
     """Quantum mutual information S(rho_a) + S(rho_b) - S(rho)."""
     c = rho.pauli
-    joint = qmath.entropy_bits(np.linalg.eigvalsh(rho.matrix))
+    joint = qmath.entropy_bits(rho.spectrum)
     return float(_qubit_entropy(c[1:, 0]) + _qubit_entropy(c[0, 1:]) - joint)
 
 
 def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Measured mutual information less ``S(rho_a)``, along each unit axis in ``n`` (..., 3).
+    """Measured mutual information less ``S(rho_a)``, for states ``c`` (N, 4, 4) along axes ``n`` (N, K, 3).
 
     ``H(outcomes) - S(post-measurement state)``. With ``p = 1 +- b.n`` and
     ``r = |a +- T n|``, the outcome probabilities are ``p/2`` and the
     post-measurement spectrum is ``(p +- r)/4``.
     """
-    p = 1 + (n @ c[0, 1:])[..., None] * _SIGNS
-    r = np.linalg.norm(c[1:, 0] + (n @ c[1:, 1:].T)[..., None, :] * _SIGNS[:, None], axis=-1)
+    p = 1 + (n @ c[:, 0, 1:, None]) * _SIGNS
+    tn = n @ c[:, 1:, 1:].transpose(0, 2, 1)
+    r = np.linalg.norm(c[:, None, None, 1:, 0] + tn[..., None, :] * _SIGNS[:, None], axis=-1)
     return qmath.entropy_bits(p / 2) - qmath.entropy_bits(np.concatenate([p + r, p - r], axis=-1) / 4)
+
+
+def _best_measured_mi(c: np.ndarray, refine: bool) -> np.ndarray:
+    """Best measured mutual information less ``S(rho_a)`` of each state ``c`` (N, 4, 4), as ``discord_oz`` searches it."""
+    best = np.empty(len(c))
+    luo = np.maximum(np.linalg.norm(c[:, 1:, 0], axis=-1), np.linalg.norm(c[:, 0, 1:], axis=-1)) <= ROUNDOFF_CLAMP
+    if luo.any():
+        best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
+    if not luo.all():
+        best[~luo] = _stencil_search(c[~luo], 1 + DISCORD_REFINE_ROUNDS if refine else 1)
+    return best
+
+
+def _stencil_search(c: np.ndarray, rounds: int) -> np.ndarray:
+    """Best ``_measured_mi`` of each state ``c`` (N, 4, 4) over ``rounds`` stencil rounds on the three charts."""
+    charts = np.tile(_CHARTS, (len(c), 1, 1))  # row 3i + k is chart k of state i
+    cells = np.arange(len(charts))
+    centres = np.zeros((len(charts), 1, 2))
+    found = np.empty((rounds, len(c)))
+    step = DISCORD_FIRST_STEP
+    for i in range(rounds):
+        uv = centres + _STENCIL * step
+        n = charts[:, :1] + uv @ charts[:, 1:]
+        trial = _measured_mi(c, (n / np.linalg.norm(n, axis=-1, keepdims=True)).reshape(len(c), -1, 3))
+        trial.max(axis=1, out=found[i])
+        centres = uv[cells, trial.reshape(len(cells), -1).argmax(axis=1)][:, None, :]
+        step /= 2
+    return found.max(axis=0)
+
+
+def _discords(states: list[DensityMatrix], refine: bool = True) -> list[float]:
+    """``discord_oz`` of each state, from one search over the whole stack."""
+    c = np.stack([rho.pauli for rho in states])
+    best = _best_measured_mi(c, refine)
+    s_a = _qubit_entropy(c[:, 1:, 0])
+    return [max(0.0, mutual_information(rho) - float(s) - float(b)) for rho, s, b in zip(states, s_a, best)]
 
 
 def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
@@ -151,33 +198,28 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     coordinate axes, from a step of ``DISCORD_FIRST_STEP``; with ``refine``
     it runs ``DISCORD_REFINE_ROUNDS`` more rounds, each re-centred on the best
     point of its chart at half the step. ``refine`` does not change the
-    closed form.
+    closed form. This is the stack of one state that ``full_reports`` searches.
     """
-    c = rho.pauli
-    if max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= ROUNDOFF_CLAMP:
-        best = _measured_mi(c, np.linalg.svd(c[1:, 1:])[2][0])
-    else:
-        best = -np.inf
-        rows = np.arange(3)
-        centres = np.zeros((3, 1, 2))
-        step = DISCORD_FIRST_STEP
-        for _ in range(1 + DISCORD_REFINE_ROUNDS if refine else 1):
-            uv = centres + _STENCIL * step
-            n = _CHARTS[:, :1] + uv @ _CHARTS[:, 1:]
-            trial = _measured_mi(c, n / np.linalg.norm(n, axis=-1, keepdims=True))
-            best = np.max(trial, initial=best)
-            centres = uv[rows, np.argmax(trial, axis=1)][:, None, :]
-            step /= 2
-    return max(0.0, mutual_information(rho) - float(_qubit_entropy(c[1:, 0])) - float(best))
+    return _discords([rho], refine)[0]
+
+
+def full_reports(states: Sequence[DensityMatrix]) -> list[ResourceReport]:
+    """``full_report`` of each state; discord is searched on stacks of up to ``REPORT_CHUNK`` states."""
+    states = list(states)
+    discords = [d for i in range(0, len(states), REPORT_CHUNK) for d in _discords(states[i : i + REPORT_CHUNK])]
+    return [
+        ResourceReport(
+            coherence_l1=coherence_l1(rho),
+            nonlocal_coherence=nonlocal_coherence(rho),
+            discord=discord,
+            negativity=negativity(rho),
+            steering=steering(rho),
+            nonlocality=nonlocality(rho),
+        )
+        for rho, discord in zip(states, discords)
+    ]
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:
     """All measures of a two-qubit state in one record."""
-    return ResourceReport(
-        coherence_l1=coherence_l1(rho),
-        nonlocal_coherence=nonlocal_coherence(rho),
-        discord=discord_oz(rho),
-        negativity=negativity(rho),
-        steering=steering(rho),
-        nonlocality=nonlocality(rho),
-    )
+    return full_reports([rho])[0]

@@ -57,7 +57,7 @@ class DensityMatrix:
     modulus; that skips only the trace and the spectrum floor, which a raw linear inversion may fail.
     """
 
-    __slots__ = ("matrix", "_pauli")
+    __slots__ = ("matrix", "_pauli", "_spectrum")
     n_qubits = 2
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
@@ -73,9 +73,11 @@ class DensityMatrix:
             tr = float(np.trace(m).real)
             if abs(tr - 1.0) > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"trace is {tr!r}, expected 1")
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < qmath.STATE_MIN_EIGENVALUE:
-                raise NotAStateError(f"min eigenvalue {min_eig:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
+            spectrum = np.linalg.eigvalsh(m)
+            if spectrum[0] < qmath.STATE_MIN_EIGENVALUE:
+                raise NotAStateError(f"min eigenvalue {spectrum[0]:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
+            spectrum.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -85,6 +87,14 @@ class DensityMatrix:
             object.__setattr__(self, "_pauli", qmath.pauli_coefficients(self.matrix))
             self._pauli.setflags(write=False)
         return self._pauli
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Read-only ascending eigenvalues, kept from validation or computed on first read."""
+        if not hasattr(self, "_spectrum"):
+            object.__setattr__(self, "_spectrum", np.linalg.eigvalsh(self.matrix))
+            self._spectrum.setflags(write=False)
+        return self._spectrum
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

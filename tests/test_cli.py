@@ -191,6 +191,19 @@ class TestMeasure:
         code, _, _ = run(capsys, "measure", "/does/not/exist.json")
         assert code == EXIT_IO
 
+    def test_spectrum_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        # The record keeps the validated constructor's spectrum, for the min_eigenvalue
+        # diagnostic and the joint entropy; negativity's partial transpose is the other call.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        path = tmp_path / "state.json"
+        path.write_text(density_matrix_to_json(bd.werner(0.5)))
+        code, out, _ = run(capsys, "measure", str(path))
+        assert code == EXIT_OK
+        assert len(calls) == 2
+        assert json.loads(out)["diagnostics"]["min_eigenvalue"] == float(eigvalsh(calls[0])[0])
+
 
 class TestTomograph:
     def test_round_trip(self, tmp_path, capsys):

@@ -80,10 +80,12 @@ FUZZED = {
     "sample_counts": (lambda shots, seed: bd.sample_counts(RHO, shots, seed), JUNK, JUNK),
 }
 # Fuzzed apart, in ON_A_STATE below: these take only a DensityMatrix, the measures
-# and fidelity among them. sample_counts, tomograph and apply_channel, which take one
-# as rho, are fuzzed above with a fixed state and below with a drawn one.
+# and fidelity among them, or a list of them (full_reports). sample_counts, tomograph
+# and apply_channel, which take one as rho, are fuzzed above with a fixed state and
+# below with a drawn one.
 TAKES_A_DENSITY_MATRIX = (
     "full_report",
+    "full_reports",
     "coherence_l1",
     "nonlocal_coherence",
     "discord_oz",
@@ -127,7 +129,12 @@ def test_public_readers_raise_only_bell_diag_errors(name, data):
 
 # Each call that reads a state, on a drawn one; the other arguments are fixed and valid.
 ON_A_STATE = {
-    **{name: getattr(bd, name) for name in TAKES_A_DENSITY_MATRIX if name not in ("fidelity", "born_probabilities")},
+    **{
+        name: getattr(bd, name)
+        for name in TAKES_A_DENSITY_MATRIX
+        if name not in ("fidelity", "born_probabilities", "full_reports")
+    },
+    "full_reports": lambda rho: bd.full_reports([RHO, rho]),
     "mutual_information": mutual_information,
     "fidelity": lambda rho: bd.fidelity(rho, RHO),
     "fidelity-reversed": lambda rho: bd.fidelity(RHO, rho),

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativity_bruteforce
 
 import belldiag as bd
-from belldiag import qmath
+from belldiag import measures, qmath
 from belldiag.exceptions import BellDiagError, NotAStateError
-from belldiag.measures import mutual_information
+from belldiag.measures import ROUNDOFF_CLAMP, mutual_information
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -25,6 +25,22 @@ def product_state(rng):
     b = random_psd(rng, 2)
     m = np.kron(a / np.trace(a).real, b / np.trace(b).real)
     return bd.DensityMatrix(m, validate=False)
+
+
+def with_marginals(rng, rho, size):
+    """``rho`` plus Bloch vectors of length ``size``, in random directions, on both qubits."""
+    a, b = (size * v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+    shift = sum(
+        x * np.kron(p, np.eye(2)) + y * np.kron(np.eye(2), p)
+        for x, y, p in zip(a, b, (qmath.SIGMA_1, qmath.SIGMA_2, qmath.SIGMA_3))
+    )
+    return bd.DensityMatrix(rho + shift / 4, validate=False)
+
+
+def random_channel(rng, kraus):
+    """Kraus operators of a random qubit channel: the blocks of a random isometry into C^2 x C^kraus."""
+    g = rng.normal(size=(2 * kraus, 2)) + 1j * rng.normal(size=(2 * kraus, 2))
+    return np.linalg.qr(g)[0].reshape(kraus, 2, 2)
 
 
 class TestCoherence:
@@ -161,12 +177,7 @@ class TestZeroMarginalDiscord:
         # stencil round and the refine rounds.
         for _ in range(10):
             rho = rotated_bell_diagonal(rng)
-            a, b = (size * v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
-            shift = sum(
-                x * np.kron(p, np.eye(2)) + y * np.kron(np.eye(2), p)
-                for x, y, p in zip(a, b, (qmath.SIGMA_1, qmath.SIGMA_2, qmath.SIGMA_3))
-            )
-            moved = bd.DensityMatrix(rho + shift / 4, validate=False)
+            moved = with_marginals(rng, rho, size)
             assert bd.discord_oz(moved) == pytest.approx(discord_zero_marginal_oracle(rho), abs=1e-10)
 
 
@@ -305,6 +316,51 @@ class TestFullReport:
         assert report.negativity == pytest.approx(0.4, abs=1e-10)
         assert report.steering == pytest.approx((SQRT3 * 0.6 - 1) / (SQRT3 - 1), abs=1e-10)
         assert report.nonlocality == 0.0
+
+
+class TestFullReports:
+    def test_stack_matches_one_state_at_a_time(self, rng):
+        # Interleaved, so that every chunk holds states of both sides of the mask: marginals
+        # below ROUNDOFF_CLAMP and Werner states take the closed form, the others the stencil.
+        stack = []
+        for i in range(24):
+            stack += [
+                ginibre_state(rng, rank=1 + i % 4),
+                bd.werner(i / 23),
+                with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP / 2),
+                with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP * 2),
+            ]
+        assert len(stack) > measures.REPORT_CHUNK
+
+        def bits(reports):
+            return [[value.hex() for value in report.as_dict().values()] for report in reports]
+
+        assert bits(bd.full_reports(stack)) == bits([bd.full_report(rho) for rho in stack])
+
+    def test_no_states(self):
+        assert bd.full_reports([]) == []
+
+
+class TestLocalChannelMonotonicity:
+    # E is an LOCC monotone (Vidal and Werner, PRA 65, 032314 (2002)). A local channel's
+    # dual maps each +-1 observable to an operator of norm at most 1, so the CHSH and
+    # steering maxima cannot grow. Discord, measured on b, does not grow under a channel
+    # on a (Modi et al., Rev. Mod. Phys. 84, 1655 (2012)).
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), kraus=st.integers(1, 4))
+    def test_local_channels_never_raise_the_measures(self, seed, rank, kraus):
+        rng = np.random.default_rng(seed)
+        rho = ginibre_state(rng, rank=rank)
+        outputs = []
+        for lift in (lambda k: np.kron(k, np.eye(2)), lambda k: np.kron(np.eye(2), k)):
+            ops = [lift(k) for k in random_channel(rng, kraus)]
+            outputs.append(bd.DensityMatrix(sum(k @ rho.matrix @ k.conj().T for k in ops), validate=False))
+        before, on_a, on_b = bd.full_reports([rho, *outputs])
+        for after in (on_a, on_b):
+            assert after.negativity <= before.negativity + 1e-12
+            assert after.steering <= before.steering + 1e-12
+            assert after.nonlocality <= before.nonlocality + 1e-12
+        assert on_a.discord <= before.discord + 1e-10
 
 
 class TestLocalUnitaryInvariance:

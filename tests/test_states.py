@@ -337,6 +337,30 @@ class TestPauliCoefficients:
         assert len(calls) == 1
 
 
+class TestSpectrum:
+    def test_read_only_and_kept(self, rng):
+        for rho in (ginibre_state(rng, rank=2), bd.werner(0.5), bd.DensityMatrix(ginibre_state(rng).matrix)):
+            w = rho.spectrum
+            np.testing.assert_array_equal(w, np.linalg.eigvalsh(rho.matrix))
+            assert rho.spectrum is w
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+            with pytest.raises(AttributeError):
+                rho.spectrum = np.zeros(4)
+
+    def test_validation_keeps_its_eigensolve(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        held = bd.DensityMatrix(ginibre_state(rng).matrix, validate=False)
+        assert not calls  # an unvalidated record computes it on first read
+        held.spectrum
+        assert len(calls) == 1
+        validated = bd.DensityMatrix(held.matrix)
+        validated.spectrum
+        assert len(calls) == 2
+
+
 class TestFidelity:
     def test_self(self, rng):
         rho = ginibre_state(rng)
