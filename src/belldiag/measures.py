@@ -17,13 +17,17 @@ evaluated once, on the top right singular vector of T. Otherwise one stencil
 loop searches three fixed charts. Chart k is centred on the unit vector e_k
 with tangents e_{k+1} and e_{k+2}; n and -n are the same measurement, so every
 axis lies in the cell |u|, |v| <= 1 of the chart of its largest component.
-Each round evaluates a 5x5 stencil on all three charts at once, re-centres
-each chart on its best point and halves the step.
+Each round evaluates a 5x5 stencil on all three charts at once. The first
+``DISCORD_HALVING_ROUNDS`` re-centre each chart on its best point and halve its
+step. In the basin they find, the objective is smooth, so the next
+``DISCORD_NEWTON_ROUNDS`` converge quadratically by the Newton step of a
+quadratic fitted to each chart's 25 values (Absil, Mahony and Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008). A last call evaluates the
+Newton points; the search keeps the best value it evaluated.
 
-The objective and the stencil loop run on a stack of states, along a leading
-state axis; a mask sends each state of the stack to the closed form or to the
-stencil. ``full_reports`` measures a list of states, searching discord on
-stacks of up to ``REPORT_CHUNK`` of them, and ``discord_oz`` and
+The objective and the stencil loop run on a stack of states; a mask sends each
+state to the closed form or to the stencil. ``full_reports`` searches discord
+on stacks of up to ``REPORT_CHUNK`` states, and ``discord_oz`` and
 ``full_report`` are the stack of one, so every state takes the same formula.
 """
 
@@ -45,19 +49,23 @@ SQRT3 = math.sqrt(3.0)
 # form when both Bloch vectors are shorter than this.
 ROUNDOFF_CLAMP = 1e-9
 
-# A chart centre moves at most 2 steps a round, so in all rounds less than
-# 2 * DISCORD_FIRST_STEP * (1 + 1/2 + ...) = pi/2 in each coordinate. That
-# exceeds 1, so it can reach any point of the cell |u|, |v| <= 1.
+# A chart centre moves at most 2 steps a halving round, in all of them 2 * DISCORD_FIRST_STEP *
+# (1 + 1/2 + ... + 1/16) ~ 1.52 > 1 in each coordinate: it can reach any point of the cell |u|, |v| <= 1.
 DISCORD_FIRST_STEP = math.pi / 8
-DISCORD_REFINE_ROUNDS = 16
+DISCORD_HALVING_ROUNDS = 5
+DISCORD_NEWTON_ROUNDS = 3
 # States per discord search in ``full_reports``. A stack shares the per-call cost of the
 # stencil's small array operations; chunking bounds the search's memory for any number of states.
 REPORT_CHUNK = 32
 # Chart k maps (u, v) to the axis e_k + u e_{k+1} + v e_{k+2}, indices mod 3;
 # _CHARTS[k] holds e_k, e_{k+1} and e_{k+2} as rows.
 _CHARTS = np.eye(3)[(np.arange(3)[:, None] + np.arange(3)) % 3]
-# Stencil offsets in units of the current step.
+# Stencil offsets in units of the current step, in (u, v) and as chart k's displacements of e_k.
 _STENCIL = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
+_OFFSETS = _STENCIL @ _CHARTS[:, 1:]
+# Rows g_i, g_j, H_ii, H_jj, H_ij of the least-squares fit f ~ k0 + g.s + s.H s / 2 over the offsets s = (i, j). On the
+# stencil 1, i, j, i^2 - 2, j^2 - 2, ij are orthogonal, squared norms 25, 50, 50, 70, 70, 100; H_ii is 2x the i^2 term.
+_FIT = np.array([*(_STENCIL.T / 50), *((_STENCIL.T**2 - 2) / 35), _STENCIL.prod(axis=1) / 100])
 # Outcome signs of a measurement on qubit b.
 _SIGNS = np.array([1.0, -1.0])
 
@@ -127,8 +135,8 @@ def nonlocality(rho: DensityMatrix) -> float:
 
 def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
     """Von Neumann entropy of qubit states with Bloch vectors along the last axis."""
-    r = np.linalg.norm(bloch, axis=-1)
-    return qmath.entropy_bits(np.stack([(1 + r) / 2, (1 - r) / 2], axis=-1))
+    r = np.sqrt((bloch * bloch).sum(-1))
+    return qmath.entropy_bits((1 + r[..., None] * _SIGNS) / 2)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -147,36 +155,48 @@ def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     """
     p = 1 + (n @ c[:, 0, 1:, None]) * _SIGNS
     tn = n @ c[:, 1:, 1:].transpose(0, 2, 1)
-    r = np.linalg.norm(c[:, None, None, 1:, 0] + tn[..., None, :] * _SIGNS[:, None], axis=-1)
+    m = c[:, None, None, 1:, 0] + tn[..., None, :] * _SIGNS[:, None]
+    r = np.sqrt((m * m).sum(-1))
     return qmath.entropy_bits(p / 2) - qmath.entropy_bits(np.concatenate([p + r, p - r], axis=-1) / 4)
 
 
 def _best_measured_mi(c: np.ndarray, refine: bool) -> np.ndarray:
     """Best measured mutual information less ``S(rho_a)`` of each state ``c`` (N, 4, 4), as ``discord_oz`` searches it."""
     best = np.empty(len(c))
-    luo = np.maximum(np.linalg.norm(c[:, 1:, 0], axis=-1), np.linalg.norm(c[:, 0, 1:], axis=-1)) <= ROUNDOFF_CLAMP
+    luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
     if luo.any():
         best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
     if not luo.all():
-        best[~luo] = _stencil_search(c[~luo], 1 + DISCORD_REFINE_ROUNDS if refine else 1)
+        best[~luo] = _stencil_search(c[~luo], refine)
     return best
 
 
-def _stencil_search(c: np.ndarray, rounds: int) -> np.ndarray:
-    """Best ``_measured_mi`` of each state ``c`` (N, 4, 4) over ``rounds`` stencil rounds on the three charts."""
-    charts = np.tile(_CHARTS, (len(c), 1, 1))  # row 3i + k is chart k of state i
-    cells = np.arange(len(charts))
-    centres = np.zeros((len(charts), 1, 2))
-    found = np.empty((rounds, len(c)))
-    step = DISCORD_FIRST_STEP
-    for i in range(rounds):
-        uv = centres + _STENCIL * step
-        n = charts[:, :1] + uv @ charts[:, 1:]
-        trial = _measured_mi(c, (n / np.linalg.norm(n, axis=-1, keepdims=True)).reshape(len(c), -1, 3))
-        trial.max(axis=1, out=found[i])
-        centres = uv[cells, trial.reshape(len(cells), -1).argmax(axis=1)][:, None, :]
-        step /= 2
-    return found.max(axis=0)
+def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
+    """Best ``_measured_mi`` of each state ``c`` (N, 4, 4) on the charts; the first round alone without ``refine``."""
+    rounds = DISCORD_HALVING_ROUNDS + DISCORD_NEWTON_ROUNDS if refine else 1
+    # Row 3i + k of each array belongs to chart k of state i; its points are held as unnormalised axes.
+    centres, tangents, offsets = (np.tile(x, (len(c), 1, 1)) for x in (_CHARTS[:, :1], _CHARTS[:, 1:], _OFFSETS))
+    cells = np.arange(len(centres))[:, None]
+    steps = np.full((len(centres), 1, 1), DISCORD_FIRST_STEP)
+    found = []
+    for i in range(rounds + refine):  # with refine, a last call on the points the rounds reached
+        n = centres + offsets * steps if i < rounds else centres
+        trial = _measured_mi(c, (n / np.sqrt((n * n).sum(-1, keepdims=True))).reshape(len(c), -1, 3))
+        found.append(trial)
+        values = trial.reshape(len(cells), -1)
+        best = n[cells, values.argmax(axis=1, keepdims=True)]
+        if i < DISCORD_HALVING_ROUNDS:
+            centres, steps = best, steps / 2
+        elif i < rounds:
+            # The Newton step -H^-1 g = adj(H) g / det(H), in stencil units, is taken only where h_ii < 0 and
+            # the step is within 2 units. That bound implies det > 0, so H is negative definite and the step finite.
+            g_i, g_j, h_ii, h_jj, h_ij = (values @ _FIT.T).T[..., None, None]
+            det = h_ii * h_jj - h_ij * h_ij
+            adj_g = np.concatenate([h_ij * g_j - h_jj * g_i, h_ij * g_i - h_ii * g_j], axis=-1)
+            newton = (h_ii < 0) & (abs(adj_g).max(axis=-1, keepdims=True) < 2 * det)
+            centres = np.where(newton, centres + adj_g / np.where(newton, det, 1.0) @ tangents * steps, best)
+            steps = steps / np.where(newton, 8.0, 2.0)
+    return np.concatenate(found, axis=1).max(axis=1)
 
 
 def _discords(states: list[DensityMatrix], refine: bool = True) -> list[float]:
@@ -190,15 +210,10 @@ def _discords(states: list[DensityMatrix], refine: bool = True) -> list[float]:
 def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     """Discord of a two-qubit state under projective measurements on qubit b.
 
-    Mutual information minus the best measured mutual information. When both
-    Bloch vectors vanish to ``ROUNDOFF_CLAMP``, the best axis maximizes
-    ``|T n|`` (S. Luo, PRA 77, 042303 (2008)): the top right singular vector
-    of T, where the measured mutual information is ``1 - h((1 + s_max)/2)``.
-    Otherwise a 5x5 stencil runs on three fixed charts, centred on the
-    coordinate axes, from a step of ``DISCORD_FIRST_STEP``; with ``refine``
-    it runs ``DISCORD_REFINE_ROUNDS`` more rounds, each re-centred on the best
-    point of its chart at half the step. ``refine`` does not change the
-    closed form. This is the stack of one state that ``full_reports`` searches.
+    Mutual information minus the best measured mutual information, searched
+    as the module docstring says: 9 objective calls on the general path, or 1
+    without ``refine`` (the first round; refining never raises discord), and 1
+    on the closed form. This is the stack of one state ``full_reports`` searches.
     """
     return _discords([rho], refine)[0]
 

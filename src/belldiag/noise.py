@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .measures import ResourceReport, full_report
+from .measures import ResourceReport, full_reports
 from .states import DensityMatrix, _shown, strict_array, strict_index, strict_real, werner
 
 COMPLETENESS_ATOL = 1e-10
@@ -70,12 +70,12 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> 
 def decohered_werner_sweep(
     a: float, p: float, w_grid: Sequence[float]
 ) -> list[tuple[float, ResourceReport]]:
-    """Measures of Werner states after damping qubit a, for each weight."""
+    """Measures of Werner states after damping qubit a, for each weight.
+
+    Every damped state is built first; one ``full_reports`` call measures them all.
+    """
     if not (np.iterable(w_grid) and hasattr(w_grid, "__len__")) or len(w_grid) == 0:
         raise OutOfRangeError(f"w_grid must be a nonempty sequence, got {type(w_grid).__name__}")
     channel = composite_damping(a, p)
-    out = []
-    for w in w_grid:
-        w = strict_real(w, OutOfRangeError, "Werner weight")
-        out.append((w, full_report(apply_channel(channel, werner(w)))))
-    return out
+    weights = [strict_real(w, OutOfRangeError, "Werner weight") for w in w_grid]
+    return list(zip(weights, full_reports([apply_channel(channel, werner(w)) for w in weights])))

@@ -102,8 +102,8 @@ def entropy_bits(probabilities: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits over the last axis, with 0 log 0 = 0.
 
     Applied to a spectrum it is the von Neumann entropy. Round-off negatives
-    are clipped and entries below ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0.
+    are clipped and entries up to ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0. A
+    NaN entry gives NaN.
     """
-    w = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    kept = w > ENTROPY_EIGENVALUE_CUTOFF
-    return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)
+    w = np.maximum(probabilities, 0.0, dtype=float)
+    return -(w * np.log2(w, out=np.zeros(w.shape), where=w > ENTROPY_EIGENVALUE_CUTOFF)).sum(axis=-1)

@@ -82,6 +82,18 @@ class TestNonlocalCoherence:
         assert bd.nonlocal_coherence(rho) == pytest.approx(0.0, abs=1e-12)
 
 
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that appends to the returned list on each call."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestDiscord:
     def test_product_state_is_classical(self, rng):
         for _ in range(5):
@@ -134,6 +146,28 @@ class TestDiscord:
             for q, sign, a in zip((0.7, 0.3), (1, -1), (random_psd(rng, 2) for _ in range(2)))
         )
         assert bd.discord_oz(bd.DensityMatrix(rho, validate=False)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "state, objective_calls, entropy_calls",
+        [("ginibre", 9, 22), ("werner", 1, 6)],
+    )
+    def test_calls_per_full_report(self, rng, monkeypatch, state, objective_calls, entropy_calls):
+        # The general path: 5 halving rounds, 3 Newton rounds and one last call, each two entropies,
+        # plus four for the mutual information and S(rho_a). The closed form makes one call.
+        objective = counting(monkeypatch, measures, "_measured_mi")
+        entropy = counting(monkeypatch, qmath, "entropy_bits")
+        bd.full_report(ginibre_state(rng) if state == "ginibre" else bd.werner(0.5))
+        assert (len(objective), len(entropy)) == (objective_calls, entropy_calls)
+
+    def test_newton_fit_is_the_least_squares_solution(self):
+        s = measures._STENCIL
+        design = np.column_stack([np.ones(len(s)), s, s**2 / 2, s.prod(axis=1)])
+        np.testing.assert_allclose(measures._FIT, np.linalg.pinv(design)[1:], rtol=0, atol=1e-15)
+
+    def test_first_round_alone_is_one_objective_call(self, rng, monkeypatch):
+        objective = counting(monkeypatch, measures, "_measured_mi")
+        bd.discord_oz(ginibre_state(rng), refine=False)
+        assert len(objective) == 1
 
     def test_refinement_never_lowers_the_grid_value(self, rng):
         for _ in range(20):

@@ -192,6 +192,18 @@ class TestDecoheredSweep:
             for key in ("nonlocal_coherence", "discord", "negativity", "steering", "nonlocality"):
                 assert nrep.as_dict()[key] <= crep.as_dict()[key] + 1e-9
 
+    def test_reports_match_one_state_at_a_time(self):
+        # The sweep measures its damped states as one stack; each report keeps the bits of full_report.
+        grid = np.linspace(0, 1, 21)
+        channel = bd.composite_damping(0.3, 0.3)
+        swept = bd.decohered_werner_sweep(0.3, 0.3, grid)
+        assert [w for w, _ in swept] == [float(w) for w in grid]
+        for w, report in swept:
+            single = bd.full_report(bd.apply_channel(channel, bd.werner(w)))
+            assert [float(v).hex() for v in report.as_dict().values()] == [
+                float(v).hex() for v in single.as_dict().values()
+            ]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(OutOfRangeError):
             bd.decohered_werner_sweep(0.1, 0.1, [])

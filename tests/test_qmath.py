@@ -254,3 +254,37 @@ class TestVnEntropy:
         for idx in np.ndindex(3, 5):
             assert batched[idx] == qmath.entropy_bits(rows[idx])
         assert batched[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+    @staticmethod
+    def _masked(probabilities):
+        # The same entropy through clip, two masks and a sum, written apart from the helper.
+        w = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+        kept = w > qmath.ENTROPY_EIGENVALUE_CUTOFF
+        return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)
+
+    @pytest.mark.parametrize("shape", [(50, 4), (7, 75, 2)])
+    def test_same_bits_as_the_masked_formula(self, rng, shape):
+        # Negatives, as round-off leaves them in a spectrum, are clipped to 0.
+        w = rng.uniform(-0.05, 1.0, size=shape)
+        w[..., 0] = -rng.uniform(0, 1e-15, size=shape[:-1])
+        assert np.array_equal(qmath.entropy_bits(w), self._masked(w))
+
+    def test_same_bits_at_zero_and_at_the_cutoff(self):
+        cutoff = qmath.ENTROPY_EIGENVALUE_CUTOFF
+        near = [np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0)]
+        rows = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, 0.5, -0.0, 0.0], [*near, 0.5], [1.0, *near]])
+        assert np.array_equal(qmath.entropy_bits(rows), self._masked(rows))
+        assert qmath.entropy_bits([0.0, cutoff]) == 0.0
+        assert qmath.entropy_bits([0.0, np.nextafter(cutoff, 1.0)]) > 0.0
+
+    def test_same_bits_on_a_list_and_on_integers(self):
+        for probabilities in ([0.25, 0.75, 0.0], [1, 0], np.array([[1, 0], [0, 1], [2, -1]])):
+            got = qmath.entropy_bits(probabilities)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, self._masked(probabilities))
+
+    def test_nan_entry_gives_nan(self):
+        # The masked formula counted NaN as 0; the helper lets it through, and only its own row.
+        rows = np.array([[np.nan, 0.5, 0.5], [0.25, 0.25, 0.5]])
+        got = qmath.entropy_bits(rows)
+        assert np.isnan(got[0]) and got[1] == self._masked(rows[1])
