@@ -111,25 +111,22 @@ def cmd_prepare(args) -> int:
 def _sweep_rows(args) -> list[str]:
     """CSV rows of a ``sweep``, one per weight w on an even grid over [0, 1].
 
-    Without ``--p`` the rows follow the Werner family. With it, each row
-    mixes the maximally mixed state toward that spec with weight w, which
-    reduces to the Werner family when the target is the (1,1) Bell state.
+    Each row mixes the maximally mixed state toward the ``--p`` spec with
+    weight w. The default spec ``0,0,0,1`` is the (1,1) Bell state, so
+    without ``--p`` the rows follow the Werner family.
     Every row's target and measured state are built first, each row sampled
     with its own seed ``seed * 100003 + i`` as before; one ``full_reports``
     call then measures them all, so discord is searched on stacks of states.
     """
     channel = noise.composite_damping(*_parse_noise(args.noise)) if args.noise else None
-    target_p = _parse_probs(args.p).probabilities if args.p else None
+    target_p = _parse_probs(args.p).probabilities
     if args.points < 1 or args.shots < 0:
         raise BellDiagError("--points must be >= 1 and --shots >= 0")
 
     heads, measured, targets = [], [], []
     for i in range(args.points):
         w = i / (args.points - 1) if args.points > 1 else 0.0
-        if target_p is None:
-            spec = states.werner_spec(w)
-        else:
-            spec = states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p))
+        spec = states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p))
         target = states.bds_from_spec(spec)
         state = circuit_mod.prepared_state(spec)
         if channel is not None:
@@ -200,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--p",
         type=str,
-        help="sweep toward this spec p00,p01,p10,p11 instead of the Werner family",
+        default="0,0,0,1",
+        help="sweep toward this spec p00,p01,p10,p11 (default 0,0,0,1: the Werner family)",
     )
     swp.add_argument("--points", type=int, default=11, help="number of w grid points")
     swp.add_argument("--shots", type=int, default=8192, help="shots per setting; 0 = exact mode")

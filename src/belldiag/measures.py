@@ -2,14 +2,17 @@
 
 The measures read the Pauli coefficients ``c`` from ``rho.pauli``, computed
 once per state. ``bloch_decompose`` returns its blocks: the Bloch vectors a, b
-and the correlation matrix T. Steering and nonlocality read the singular values
-of T. Discord follows the measured-mutual-information definition: the maximum
-is taken over rank-one projective measurements on qubit b. Measuring qubit b
-along the unit axis n leaves qubit a in the conditional states
+and the correlation matrix T. Steering reads the norm of T's singular values,
+which is T's Frobenius norm also when T is not symmetric (Costa and Angelo,
+PRA 93, 020103 (2016)); nonlocality reads the singular values. Discord is
+D = I - J (Ollivier and Zurek, PRL 88, 017901 (2001)), with J the measured
+mutual information maximized over rank-one projective measurements on qubit b.
+Measuring qubit b along the unit axis n leaves qubit a in the conditional states
 ``(1/4)[(1 +- b.n) I + (a +- T n).sigma]`` with probabilities
 ``(1 +- b.n)/2`` and eigenvalues ``(1 +- b.n +- |a +- T n|)/4``. One real
-objective, vectorized over axes, gives the measured mutual information from
-these closed forms, less ``S(rho_a)``, which no axis changes.
+objective, vectorized over axes, gives J - S(rho_a) from these closed forms.
+Since I - S(rho_a) = S(rho_b) - S(rho), discord is S(rho_b) - S(rho) less the
+best objective value, and S(rho_a) is never computed.
 
 When both Bloch vectors vanish, as on every Bell-diagonal state, the best
 axis maximizes ``|T n|`` (S. Luo, PRA 77, 042303 (2008)): the objective is
@@ -119,14 +122,14 @@ def negativity(rho: DensityMatrix) -> float:
 
 
 def steering(rho: DensityMatrix) -> float:
-    """Steering degree for three measurements per qubit."""
-    # Singular values, not absolute eigenvalues: tomography can return a non-symmetric T.
-    c = np.linalg.svd(bloch_decompose(rho)[2], compute_uv=False)
-    return max(0.0, (float(np.linalg.norm(c)) - 1.0) / (SQRT3 - 1.0))
+    """Steering degree for three measurements per qubit: the norm of T's singular values, ``sqrt(sum T_ij^2)``."""
+    t = bloch_decompose(rho)[2]
+    return max(0.0, (math.sqrt(float((t * t).sum())) - 1.0) / (SQRT3 - 1.0))
 
 
 def nonlocality(rho: DensityMatrix) -> float:
     """Bell-inequality violation degree for two measurements per qubit."""
+    # Singular values, not absolute eigenvalues: tomography can return a non-symmetric T.
     c = np.linalg.svd(bloch_decompose(rho)[2], compute_uv=False)
     c_min_sq = float(np.min(c) ** 2)
     norm_sq = float(np.dot(c, c))
@@ -160,17 +163,6 @@ def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     return qmath.entropy_bits(p / 2) - qmath.entropy_bits(np.concatenate([p + r, p - r], axis=-1) / 4)
 
 
-def _best_measured_mi(c: np.ndarray, refine: bool) -> np.ndarray:
-    """Best measured mutual information less ``S(rho_a)`` of each state ``c`` (N, 4, 4), as ``discord_oz`` searches it."""
-    best = np.empty(len(c))
-    luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
-    if luo.any():
-        best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
-    if not luo.all():
-        best[~luo] = _stencil_search(c[~luo], refine)
-    return best
-
-
 def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
     """Best ``_measured_mi`` of each state ``c`` (N, 4, 4) on the charts; the first round alone without ``refine``."""
     rounds = DISCORD_HALVING_ROUNDS + DISCORD_NEWTON_ROUNDS if refine else 1
@@ -200,11 +192,16 @@ def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
 
 
 def _discords(states: list[DensityMatrix], refine: bool = True) -> list[float]:
-    """``discord_oz`` of each state, from one search over the whole stack."""
+    """``discord_oz`` of each state: ``S(rho_b) - S(rho)`` less the best objective value, searched on the stack."""
     c = np.stack([rho.pauli for rho in states])
-    best = _best_measured_mi(c, refine)
-    s_a = _qubit_entropy(c[:, 1:, 0])
-    return [max(0.0, mutual_information(rho) - float(s) - float(b)) for rho, s, b in zip(states, s_a, best)]
+    best = np.empty(len(c))
+    luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
+    if luo.any():
+        best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
+    if not luo.all():
+        best[~luo] = _stencil_search(c[~luo], refine)
+    joint = qmath.entropy_bits(np.stack([rho.spectrum for rho in states]))
+    return np.maximum(_qubit_entropy(c[:, 0, 1:]) - joint - best, 0.0).tolist()
 
 
 def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:

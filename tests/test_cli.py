@@ -142,6 +142,16 @@ class TestSweep:
         _, werner_out, _ = run(capsys, "sweep", "--points", "3", "--shots", "0")
         np.testing.assert_allclose(custom, parse_csv(werner_out), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "flags",
+        ["--points 101 --shots 8192 --seed 7", "--points 101 --shots 0 --noise 0.3,0.3"],
+        ids=["sampled", "exact-noisy"],
+    )
+    def test_default_target_is_the_bell_state_b11(self, capsys, flags):
+        _, default, _ = run(capsys, "sweep", *flags.split())
+        _, explicit, _ = run(capsys, "sweep", *flags.split(), "--p", "0,0,0,1")
+        assert default == explicit
+
     def test_custom_spec_family_other_target(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--points", "3", "--shots", "0", "--p", "1,0,0,0"

@@ -149,11 +149,11 @@ class TestDiscord:
 
     @pytest.mark.parametrize(
         "state, objective_calls, entropy_calls",
-        [("ginibre", 9, 22), ("werner", 1, 6)],
+        [("ginibre", 9, 20), ("werner", 1, 4)],
     )
     def test_calls_per_full_report(self, rng, monkeypatch, state, objective_calls, entropy_calls):
         # The general path: 5 halving rounds, 3 Newton rounds and one last call, each two entropies,
-        # plus four for the mutual information and S(rho_a). The closed form makes one call.
+        # plus two outside the search, S(rho) and S(rho_b). The closed form makes one call.
         objective = counting(monkeypatch, measures, "_measured_mi")
         entropy = counting(monkeypatch, qmath, "entropy_bits")
         bd.full_report(ginibre_state(rng) if state == "ginibre" else bd.werner(0.5))
@@ -314,6 +314,26 @@ class TestCorrelationVector:
 
 
 class TestSteeringAndNonlocality:
+    @pytest.mark.parametrize("state, svd_calls", [("ginibre", 1), ("werner", 2)])
+    def test_svd_calls_per_full_report(self, rng, monkeypatch, state, svd_calls):
+        # Nonlocality takes the one SVD of T; the closed form of discord takes a second.
+        svd = counting(monkeypatch, np.linalg, "svd")
+        bd.full_report(ginibre_state(rng) if state == "ginibre" else bd.werner(0.5))
+        assert len(svd) == svd_calls
+
+    def test_steering_is_the_norm_of_the_singular_values(self, rng):
+        # Raw 64-shot reconstructions are held unvalidated, and their T is not symmetric.
+        ginibre = [ginibre_state(rng, rank=1 + i % 4) for i in range(40)]
+        raw = [
+            bd.DensityMatrix(bd.tomograph(bd.werner(w), 64, seed).raw_matrix, validate=False)
+            for seed, w in enumerate(np.linspace(0.5, 1.0, 40))
+        ]
+        assert all(np.any(rho.pauli[1:, 1:] != rho.pauli[1:, 1:].T) for rho in raw)
+        for rho in ginibre + raw:
+            norm = np.linalg.norm(np.linalg.svd(rho.pauli[1:, 1:], compute_uv=False))
+            assert bd.steering(rho) == pytest.approx(max(0.0, (norm - 1) / (SQRT3 - 1)), rel=0, abs=1e-14)
+        assert sum(bd.steering(rho) > 0 for rho in raw) > 10
+
     def test_anchors(self):
         assert bd.steering(bd.werner(1.0)) == pytest.approx(1.0, abs=1e-12)
         assert bd.nonlocality(bd.werner(1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -373,6 +393,18 @@ class TestFullReports:
 
     def test_no_states(self):
         assert bd.full_reports([]) == []
+
+    def test_work_outside_the_search(self, rng, monkeypatch):
+        # Each chunk takes S(rho) and S(rho_b) once for the stack, besides the objective's two
+        # entropies a call; the mutual information is never computed.
+        stack = [ginibre_state(rng, rank=1 + i % 4) for i in range(20)] + [bd.werner(i / 19) for i in range(20)]
+        chunks = -(-len(stack) // measures.REPORT_CHUNK)
+        assert chunks > 1
+        mutual = counting(monkeypatch, measures, "mutual_information")
+        objective = counting(monkeypatch, measures, "_measured_mi")
+        entropy = counting(monkeypatch, qmath, "entropy_bits")
+        bd.full_reports(stack)
+        assert (len(mutual), len(entropy) - 2 * len(objective)) == (0, 2 * chunks)
 
 
 class TestLocalChannelMonotonicity:
