@@ -114,60 +114,55 @@ class Circuit:
                 strict_index(t, DimensionMismatchError, f"gate {g.kind}'s target", 0, n - 1)
 
 
+_CX_AB = Gate("cx", (), (0, 1))
+_COPY_AND_ROTATE = (Gate("cx", (), (0, 2)), Gate("cx", (), (1, 3)), Gate("h", (), (2,)), Gate("cx", (), (2, 3)))
+
+
 def purification_circuit(spec: BdsSpec) -> Circuit:
     """Circuit preparing the exact four-qubit purification of any spec.
 
-    Qubit a is rotated by half the angle whose cosine squared is the
-    j-marginal p00+p01; qubit b gets the rotation matching the conditional
-    distribution of k given j, implemented with a CNOT-conjugated rotation
-    pair when the two conditionals differ. The copy CNOTs then imprint
+    Every rotation angle x solves cos^2 x = num/den: qubit a's for the
+    j-marginal p00+p01, and gamma_j, qubit b's conditioned on a = j, for
+    p_j0 over the row's mass. When the two conditionals differ, b's rotation
+    is a CNOT-conjugated pair. The copy CNOTs then imprint
     (j, k) on qubits c, d, and the closing pair, H on c then CNOT c->d,
     rotates c, d into the Bell basis. The partial trace over a, b leaves
     the target state.
     """
     p = spec.probabilities
-    theta = 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, p[0] + p[1]))))
 
-    # gamma_j: half-angle of the b rotation conditioned on a = j; None for an empty row.
-    def conditional_angle(num: float, den: float) -> float | None:
+    def half_angle(num: float, den: float) -> float | None:
         if den <= PREP_ATOL:
-            return None
+            return None  # an empty row
         return math.acos(math.sqrt(min(1.0, max(0.0, num / den))))
 
-    gamma0 = conditional_angle(p[0], p[0] + p[1])
-    gamma1 = conditional_angle(p[2], p[2] + p[3])
+    gamma0 = half_angle(p[0], p[0] + p[1])
+    gamma1 = half_angle(p[2], p[2] + p[3])
     # An empty row takes the other row's angle; a normalised spec has a non-empty row.
     if gamma0 is None:
         gamma0 = gamma1
     if gamma1 is None:
         gamma1 = gamma0
 
-    gates: list[Gate] = [Gate("r", (theta / 2,), (0,))]
     half_diff = (gamma1 - gamma0) / 2
     if abs(half_diff) <= PREP_ATOL:
-        gates.append(Gate("r", (gamma0,), (1,)))
+        rotate_b = (Gate("r", (gamma0,), (1,)),)
     else:
-        gates.append(Gate("r", ((gamma0 + gamma1) / 2,), (1,)))
-        gates.append(Gate("cx", (), (0, 1)))
-        gates.append(Gate("r", (-half_diff,), (1,)))
-        gates.append(Gate("cx", (), (0, 1)))
-    gates.append(Gate("cx", (), (0, 2)))
-    gates.append(Gate("cx", (), (1, 3)))
-    gates.append(Gate("h", (), (2,)))
-    gates.append(Gate("cx", (), (2, 3)))
-    return Circuit(n_qubits=4, gates=tuple(gates), qubit_names=PREP_QUBIT_NAMES)
+        rotate_b = (Gate("r", ((gamma0 + gamma1) / 2,), (1,)), _CX_AB, Gate("r", (-half_diff,), (1,)), _CX_AB)
+    gates = (Gate("r", (half_angle(p[0] + p[1], 1.0),), (0,)), *rotate_b, *_COPY_AND_ROTATE)
+    return Circuit(n_qubits=4, gates=gates, qubit_names=PREP_QUBIT_NAMES)
 
 
 def simulate_statevector(circ: Circuit) -> np.ndarray:
     """Apply the circuit's gates in order to the all-zero computational basis state."""
-    psi = np.zeros((2,) * circ.n_qubits, dtype=complex)
-    psi.flat[0] = 1.0
+    psi = np.zeros(2**circ.n_qubits, dtype=complex)
+    psi[0] = 1.0
+    index = np.arange(psi.size).reshape((2,) * circ.n_qubits)
     for g in circ.gates:
-        # Bring the targets to the front, in the order the gate's matrix reads them, apply it, put them back.
-        front = tuple(range(len(g.targets)))
-        t = np.moveaxis(psi, g.targets, front)
-        psi = np.moveaxis((g.matrix() @ t.reshape(2 ** len(front), -1)).reshape(t.shape), front, g.targets)
-    return psi.reshape(-1)
+        # Row r holds the amplitudes whose target bits, in the order the gate's matrix reads them, spell r.
+        rows = np.moveaxis(index, g.targets, range(len(g.targets))).reshape(2 ** len(g.targets), -1)
+        psi[rows] = g.matrix() @ psi[rows]
+    return psi
 
 
 def prepared_state(spec: BdsSpec) -> DensityMatrix:

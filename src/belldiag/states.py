@@ -119,15 +119,6 @@ def bell_state(j: int, k: int) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), validate=False)
 
 
-def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
-    """Bell-diagonal state with the given Bell-basis probabilities."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for (j, k), p in zip(BELL_INDICES, spec.probabilities):
-        v = bell_state_vector(j, k)
-        rho += p * np.outer(v, v.conj())
-    return DensityMatrix(rho, validate=False)
-
-
 def _shown(value) -> str:
     """``repr(value)``; where that fails, an integer's bit length (over 4,300 digits) or a container's type."""
     try:
@@ -185,6 +176,14 @@ def strict_array(value, dtype, shape: tuple, error: type[BellDiagError], name: s
     a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
+
+
+_BELL_PROJECTORS = tuple(bell_state(j, k).matrix for j, k in BELL_INDICES)
+
+
+def bds_from_spec(spec: BdsSpec) -> DensityMatrix:
+    """Bell-diagonal state with the given Bell-basis probabilities."""
+    return DensityMatrix(sum(p * proj for p, proj in zip(spec.probabilities, _BELL_PROJECTORS)), validate=False)
 
 
 def werner_spec(w: float) -> BdsSpec:

@@ -55,3 +55,15 @@ def product_spec(theta: float, alpha: float) -> bd.BdsSpec:
 def random_product_spec(rng: np.random.Generator) -> bd.BdsSpec:
     """Spec whose probability table factorizes over the two Bell indices."""
     return product_spec(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that appends to the returned list on each call."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

@@ -1,6 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
-from helpers import product_spec, random_product_spec, random_spec
+from helpers import counting, product_spec, random_product_spec, random_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import qasm_reduced_state
@@ -91,6 +93,8 @@ class TestGates:
                 Circuit(4, gates, names)
         with pytest.raises(InvalidLayoutError):
             Circuit(2, (), (1, 2))
+        with pytest.raises(DimensionMismatchError, match="qubit_names length"):
+            Circuit(2, (), ("a",))
 
 
 def rotation_angles(spec: bd.BdsSpec) -> tuple[float, float]:
@@ -173,6 +177,15 @@ class TestBuildBdsCircuit:
         expected = np.kron(np.eye(4)[3], bell_state_vector(1, 1))
         assert abs(np.vdot(expected, psi)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, built", [(product_spec(0.8, 0.4), 2), (bd.werner_spec(0.5), 3)], ids=["product", "general"]
+    )
+    def test_only_rotations_are_built_per_spec(self, monkeypatch, spec, built):
+        # The CNOTs and the H are module constants, checked once; a spec adds only its R gates.
+        calls = counting(monkeypatch, Gate, "__post_init__")
+        circ = purification_circuit(spec)
+        assert len(calls) == built == sum(g.kind == "r" for g in circ.gates)
+
 
 class TestSimulator:
     def test_empty_circuit(self):
@@ -189,6 +202,34 @@ class TestSimulator:
         spec = random_spec(rng)
         psi = bd.simulate_statevector(purification_circuit(spec))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_dense_reference(self, rng):
+        # Each gate as a full 2**n matrix of one-qubit factors, qubit 0 leftmost; cx from projectors on its control.
+        p0, p1, x = np.diag([1, 0]), np.diag([0, 1]), np.array([[0, 1], [1, 0]])
+
+        def dense(n, factors):
+            return reduce(np.kron, [factors.get(q, np.eye(2)) for q in range(n)])
+
+        control_first = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            gates, want = [], np.eye(2**n, dtype=complex)[0]
+            for _ in range(int(rng.integers(1, 16))):
+                kind = str(rng.choice(("r", "h", "cx") if n > 1 else ("r", "h")))
+                if kind == "cx":
+                    c, t = (int(q) for q in rng.choice(n, 2, replace=False))
+                    control_first.add(c < t)
+                    gate = Gate("cx", (), (c, t))
+                    u = dense(n, {c: p0}) + dense(n, {c: p1, t: x})
+                else:
+                    q = int(rng.integers(n))
+                    gate = Gate(kind, (float(rng.uniform(-np.pi, np.pi)),) if kind == "r" else (), (q,))
+                    u = dense(n, {q: gate.matrix()})
+                gates.append(gate)
+                want = u @ want
+            got = bd.simulate_statevector(Circuit(n, tuple(gates)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert control_first == {True, False}
 
     def test_cnot_control_first_convention(self):
         # control on the higher index still acts as control; r(pi/2) on

@@ -442,6 +442,28 @@ class TestOutputBytes:
                 "prepare --p 0.42,0.18,0.28,0.12 --qasm --layout a:0,b:1,c:2,d:3",
                 "4b4857145ef8eeee0db34c07445d726267cc324d33c4f2d806ef13a5dac009df",
             ),
+            # One prepare per branch of the circuit: row j=0 empty, row j=1 empty, a product spec
+            # collapsed to six gates, pi angles, and a vertex with zero angles.
+            (
+                "prepare --p 0,0,0.3,0.7 --qasm",
+                "fa59630b0e5392522f2e051d62ae9cb05b0cb8f92c4ae68539605920fef797c2",
+            ),
+            (
+                "prepare --p 0.3,0.7,0,0 --qasm",
+                "979d50f1478cd5ae510f125b7b3d32b39b898471c1ae4f6a0c4f19a396d52663",
+            ),
+            (
+                "prepare --p 0.24,0.36,0.16,0.24 --qasm",
+                "6e0c4190f4427ba9649c55fb49b7a988196024de4bf224fa407f1e68ec4d8a1e",
+            ),
+            (
+                "prepare --werner 1 --qasm",
+                "3573f64db2029969efc615b35ab7f45f1559c311315feafb01adda3df5b4528f",
+            ),
+            (
+                "prepare --p 1,0,0,0",
+                "93a05d55a47e42e01105c9fea127a1dd5bf18ecda6e3b2552af39b3786cc5036",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

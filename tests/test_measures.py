@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ginibre_state, random_psd, random_unitary, rotated_bell_diagonal
+from helpers import counting, ginibre_state, random_psd, random_unitary, rotated_bell_diagonal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativity_bruteforce
@@ -80,18 +80,6 @@ class TestNonlocalCoherence:
         zero = np.diag([1.0, 0.0]).astype(complex)
         rho = bd.DensityMatrix(np.kron(plus, zero), validate=False)
         assert bd.nonlocal_coherence(rho) == pytest.approx(0.0, abs=1e-12)
-
-
-def counting(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that appends to the returned list on each call."""
-    calls, inner = [], getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 class TestDiscord:

@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from helpers import ginibre_state, random_spec
+from helpers import counting, ginibre_state, random_spec
 
 import belldiag as bd
-from belldiag import qmath
+from belldiag import qmath, states
 from belldiag.exceptions import BellDiagError, InvalidProbabilitiesError, NotAStateError, OutOfRangeError
 from belldiag.states import (
     BELL_INDICES,
@@ -139,6 +139,12 @@ class TestBdsSpec:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidProbabilitiesError, match="finite"):
                 bd.BdsSpec(bad, 0, 0, 1)
+
+    def test_projectors_are_built_once(self, monkeypatch):
+        # The four Bell projectors are module constants; a state is only their weighted sum.
+        built = counting(monkeypatch, states, "bell_state_vector")
+        bd.bds_from_spec(bd.BdsSpec(0.1, 0.2, 0.3, 0.4))
+        assert built == []
 
 
 def correlation_diagonal(rho: bd.DensityMatrix) -> np.ndarray:

@@ -226,6 +226,9 @@ class TestReconstruct:
         c[3, 3] = 1.2
         with pytest.raises(OutOfRangeError):
             CorrelationMatrix(c)
+        for c00 in (0.5, np.nan):
+            with pytest.raises(OutOfRangeError, match="must be exactly 1"):
+                CorrelationMatrix(np.diag([c00, 1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize(
         "values",
