@@ -15,7 +15,6 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from . import qmath
 from .exceptions import (
     DimensionMismatchError,
     InvalidLayoutError,
@@ -166,12 +165,9 @@ def simulate_statevector(circ: Circuit) -> np.ndarray:
 
 
 def prepared_state(spec: BdsSpec) -> DensityMatrix:
-    """Simulate the preparation circuit and trace out the ancilla pair a, b."""
-    circ = purification_circuit(spec)
-    psi = simulate_statevector(circ)
-    rho_full = np.outer(psi, psi.conj())
-    rho_cd = qmath.partial_trace(rho_full, [2, 2, 2, 2], keep=(2, 3))
-    return DensityMatrix(rho_cd, validate=False)
+    """Simulate the preparation circuit and trace out a, b: as a 4x4 table, psi's rows are a, b."""
+    psi = simulate_statevector(purification_circuit(spec)).reshape(4, 4)
+    return DensityMatrix(np.einsum("ai,aj->ij", psi, psi.conj()), validate=False)
 
 
 _PI_FRACTIONS = [1, 2, 3, 4, 6, 8]

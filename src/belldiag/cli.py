@@ -115,7 +115,7 @@ def _sweep_rows(args) -> list[str]:
     weight w. The default spec ``0,0,0,1`` is the (1,1) Bell state, so
     without ``--p`` the rows follow the Werner family.
     Every row's target and measured state are built first, each row sampled
-    with its own seed ``seed * 100003 + i`` as before; one ``full_reports``
+    with its own seed ``seed * 100003 + i``; one ``full_reports``
     call then measures them all, so discord is searched on stacks of states.
     """
     channel = noise.composite_damping(*_parse_noise(args.noise)) if args.noise else None

@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives for small multi-qubit operators.
 
-Callers pass shapes that ``DensityMatrix``, ``CorrelationMatrix`` or
-``prepared_state`` have already fixed, and ``DensityMatrix`` decides a
-state's Hermiticity, so this module checks only the spectrum floor. Every
-function is pure: inputs are never mutated.
+Callers pass shapes that ``DensityMatrix`` or ``CorrelationMatrix`` have
+already fixed, and ``DensityMatrix`` decides a state's Hermiticity, so this
+module checks only the spectrum floor. Every function is pure: inputs are
+never mutated.
 
 This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real

@@ -218,9 +218,9 @@ def density_matrix_to_json(rho: DensityMatrix) -> str:
 
 
 def density_matrix_from_json(text: str | bytes) -> DensityMatrix:
-    """Parse the density-matrix JSON format, validating state invariants."""
+    """Parse the density-matrix JSON format, validating state invariants; bytes must be UTF-8."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text.decode("utf-8-sig") if isinstance(text, bytes) else text)
         n = strict_index(payload["n_qubits"], NotAStateError, "n_qubits")
         # np.asarray would read [true, 0.5] as [1.0, 0.5].
         if any(type(x) not in (int, float) for k in ("re", "im") for row in payload[k] for x in row):

@@ -206,9 +206,9 @@ def counts_to_json(counts: TomographyCounts) -> str:
 
 
 def counts_from_json(text: str | bytes) -> TomographyCounts:
-    """Parse the counts JSON format, validating its invariants."""
+    """Parse the counts JSON format, validating its invariants; bytes must be UTF-8."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text.decode("utf-8-sig") if isinstance(text, bytes) else text)
         shots = payload["shots"]
         settings = payload["settings"]
         counts = {s: tuple(settings[s.key][o] for o in OUTCOMES) for s in SETTINGS}

@@ -274,11 +274,27 @@ class TestPreparedState:
             np.testing.assert_allclose(got.matrix, bd.werner(float(w)).matrix, atol=1e-10)
 
     def test_matches_constructor_on_random_specs(self, rng):
-        for _ in range(200):
+        for i in range(200):
             spec = random_spec(rng)
+            if i % 4 == 0:  # every fourth spec empties row j = 0 or j = 1
+                p = spec.probabilities.copy()
+                p.reshape(2, 2)[i // 4 % 2] = 0.0
+                spec = bd.BdsSpec(*(p / p.sum()))
             got = bd.prepared_state(spec)
             want = bd.bds_from_spec(spec)
             assert np.max(np.abs(got.matrix - want.matrix)) < 1e-10
+            # The generic partial trace of |psi><psi| checks the contraction from outside.
+            psi = bd.simulate_statevector(purification_circuit(spec))
+            reference = qmath.partial_trace(np.outer(psi, psi.conj()), [2] * 4, keep=(2, 3))
+            assert np.max(np.abs(got.matrix - reference)) <= 1e-15
+
+    def test_no_generic_partial_trace(self, monkeypatch):
+        # rho_cd is one contraction of psi over a, b; the 16x16 |psi><psi| is never built.
+        calls = counting(monkeypatch, qmath, "partial_trace")
+        outer = counting(monkeypatch, np, "outer")
+        for spec in (bd.werner_spec(0.5), bd.BdsSpec(0, 0, 0.3, 0.7), random_product_spec(np.random.default_rng(1))):
+            bd.prepared_state(spec)
+        assert calls == [] and outer == []
 
     def test_bell_diagonal_structure(self, rng):
         basis = np.column_stack(

@@ -35,6 +35,13 @@ def run_cli(*argv):
     return run_python("-c", "import sys; from belldiag.cli import main; sys.exit(main())", *argv)
 
 
+def valid_input(command):
+    """A valid input document for ``measure`` (a state) or ``tomograph`` (counts)."""
+    if command == "measure":
+        return density_matrix_to_json(bd.werner(0.5))
+    return counts_to_json(bd.sample_counts(bd.werner(0.5), 64, seed=1))
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -300,12 +307,29 @@ class TestErrorPath:
 
     @pytest.mark.parametrize("command", ["measure", "tomograph"])
     def test_non_utf8_file_exits_2(self, tmp_path, command):
-        path = tmp_path / "latin1.json"
-        path.write_bytes(b'{"n_qubits": 2, "note": "\xe9"}')
-        proc = run_cli(command, str(path))
-        assert proc.returncode == EXIT_VALIDATION, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "malformed" in proc.stderr
+        # UTF-16 and UTF-32 carry a valid document: json.loads would detect those encodings from the bytes.
+        valid = valid_input(command)
+        for name, data in [
+            ("latin1", b'{"n_qubits": 2, "note": "\xe9"}'),
+            ("utf16", valid.encode("utf-16")),
+            ("utf32", valid.encode("utf-32")),
+        ]:
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            proc = run_cli(command, str(path))
+            assert proc.returncode == EXIT_VALIDATION, (name, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert "malformed" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["measure", "tomograph"])
+    def test_utf8_with_bom_is_read_as_utf8(self, tmp_path, capsys, command):
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_bytes(valid_input(command).encode("utf-8"))
+        bom.write_bytes(valid_input(command).encode("utf-8-sig"))
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run(capsys, command, str(plain))
+        assert want[0] == EXIT_OK and want[1]
+        assert run(capsys, command, str(bom)) == want
 
     def test_non_integer_counts_exit_2(self, tmp_path):
         payload = json.loads(counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=1)))

@@ -152,6 +152,25 @@ class TestDiscord:
         design = np.column_stack([np.ones(len(s)), s, s**2 / 2, s.prod(axis=1)])
         np.testing.assert_allclose(measures._FIT, np.linalg.pinv(design)[1:], rtol=0, atol=1e-15)
 
+    def test_newton_needs_a_concave_fit(self, monkeypatch):
+        # A synthetic objective of chart 0's (u, v), in units r of the first Newton round's step: 1 at the centre,
+        # 0.2 for 0 < r < 1.5, 0.9 beyond, 1.5 on a thin band at r = 0.5 on the +u axis, 0 off chart 0. The
+        # halving rounds stay at the centre; the first Newton round's fit is then convex with g = 0. Only a
+        # search that refuses that Newton step halves its step, reaches r = 0.5 and finds 1.5; taking it
+        # divides the step by 8, and the search never leaves the centre's value 1.
+        step = measures.DISCORD_FIRST_STEP / 2**measures.DISCORD_HALVING_ROUNDS
+
+        def objective(c, n):
+            on_chart = n[..., 0] > 0.9
+            u, v = (np.divide(n[..., k], n[..., 0] * step, out=np.zeros(n.shape[:-1]), where=on_chart) for k in (1, 2))
+            r = np.hypot(u, v)
+            band = (abs(u - 0.5) < 0.01) & (abs(v) < 0.01)
+            value = np.select([band, r == 0, r < 1.5], [1.5, 1.0, 0.2], 0.9)
+            return np.where(on_chart, value, 0.0)
+
+        monkeypatch.setattr(measures, "_measured_mi", objective)
+        assert measures._stencil_search(np.zeros((1, 4, 4)), refine=True).tolist() == [1.5]
+
     def test_first_round_alone_is_one_objective_call(self, rng, monkeypatch):
         objective = counting(monkeypatch, measures, "_measured_mi")
         bd.discord_oz(ginibre_state(rng), refine=False)
