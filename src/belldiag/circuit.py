@@ -1,10 +1,11 @@
 """Gate set, the preparation circuit, state-vector simulation, and QASM export.
 
-``purification_circuit`` prepares any Bell-diagonal state as the reduced
-state of a four-qubit pure state. The rotation on qubit ``b`` is conditioned
-on qubit ``a`` through a CNOT-conjugated rotation pair; when the two
-conditionals of k given j agree, which includes every product-form spec, that
-pair collapses to one rotation and the circuit has six gates.
+``_GATES`` is the one description of each gate kind. ``purification_circuit``
+prepares any Bell-diagonal state as the reduced state of a four-qubit pure
+state. The rotation on qubit ``b`` is conditioned on qubit ``a`` through a
+CNOT-conjugated rotation pair; when the two conditionals of k given j agree,
+which includes every product-form spec, that pair collapses to one rotation
+and the circuit has six gates.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from .exceptions import (
 )
 from .states import BdsSpec, DensityMatrix, _shown, strict_index, strict_real
 
-GATE_KINDS = ("r", "h", "cx")
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_CX_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_GATES = {
+    "r": (1, 1, None),
+    "h": (0, 1, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)),
+    "cx": (0, 2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
+}
 
 # The largest register: 2**16 amplitudes make a 1 MiB state vector.
 MAX_QUBITS = 16
@@ -46,8 +46,8 @@ PREP_ATOL = 1e-14
 class Gate:
     """One gate application: kind, real parameters, target qubit indices.
 
-    For ``cx`` the control is listed first. ``r`` carries one angle x and
-    acts as the real rotation [[cos x, -sin x], [sin x, cos x]].
+    Each kind's (parameter count, target count, fixed unitary) is described once, in ``_GATES``.
+    ``cx`` lists its control first; ``r``'s one angle x gives [[cos x, -sin x], [sin x, cos x]].
     """
 
     kind: str
@@ -55,7 +55,7 @@ class Gate:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _GATES:
             raise OutOfRangeError(f"unknown gate kind {_shown(self.kind)}")
         if not (np.iterable(self.params) and np.iterable(self.targets)):
             kinds = f"{type(self.params).__name__} and {type(self.targets).__name__}"
@@ -64,10 +64,9 @@ class Gate:
         targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in self.targets)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "targets", targets)
-        n_params = 1 if self.kind == "r" else 0
+        n_params, n_targets, _ = _GATES[self.kind]
         if len(self.params) != n_params:
             raise OutOfRangeError(f"{self.kind} takes {n_params} parameter(s)")
-        n_targets = 2 if self.kind == "cx" else 1
         if len(self.targets) != n_targets or len(set(self.targets)) != n_targets:
             raise OutOfRangeError(f"{self.kind} takes {n_targets} distinct target(s)")
 
@@ -78,9 +77,7 @@ class Gate:
             return np.array(
                 [[math.cos(x), -math.sin(x)], [math.sin(x), math.cos(x)]], dtype=complex
             )
-        if self.kind == "h":
-            return _H_MATRIX.copy()
-        return _CX_MATRIX.copy()
+        return _GATES[self.kind][2].copy()
 
 
 @dataclass(frozen=True)
@@ -254,15 +251,12 @@ def to_qasm(
         lines.append(f"creg c[{len(measured)}];")
 
     for g in circ.gates:
-        q = [phys[t] for t in g.targets]
+        name = g.kind
         if g.kind == "r":
             # R(x/2) is the native u3(x, 0, 0); 2x overflows to inf above about 9e307.
             x = strict_real(2 * g.params[0], OutOfRangeError, "a u3 angle")
-            lines.append(f"u3({_format_angle(x)},0,0) q[{q[0]}];")
-        elif g.kind == "h":
-            lines.append(f"h q[{q[0]}];")
-        else:
-            lines.append(f"cx q[{q[0]}],q[{q[1]}];")
+            name = f"u3({_format_angle(x)},0,0)"
+        lines.append(f"{name} " + ",".join(f"q[{phys[t]}]" for t in g.targets) + ";")
 
     for slot, (logical, basis) in enumerate(measured):
         for prefix in _MEASUREMENT_PREFIX[basis]:

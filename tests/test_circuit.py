@@ -64,6 +64,15 @@ class TestGates:
             Gate("r", (), (0,))
         with pytest.raises(OutOfRangeError):
             Gate("cx", (), (1, 1))
+        # Each kind's parameter and target counts, named in the message.
+        for kind, params, targets, message in (
+            ("h", (0.1,), (0,), r"h takes 0 parameter\(s\)"),
+            ("r", (0.1, 0.2), (0,), r"r takes 1 parameter\(s\)"),
+            ("cx", (), (0,), r"cx takes 2 distinct target\(s\)"),
+            ("h", (), (0, 1), r"h takes 1 distinct target\(s\)"),
+        ):
+            with pytest.raises(OutOfRangeError, match=message):
+                Gate(kind, params, targets)
         with pytest.raises(DimensionMismatchError):
             Circuit(n_qubits=1, gates=(Gate("h", (), (3,)),))
         for gate in (Gate("h", (), (-1,)), Gate("cx", (), (-1, 1))):
@@ -354,6 +363,11 @@ class TestQasm:
         assert text.startswith('OPENQASM 2.0;\ninclude "qelib1.inc";')
         # R(pi/2) is emitted as the hardware u3(pi,0,0)
         assert "u3(pi,0,0) q[1];" in text
+
+    def test_every_kind_is_one_statement_on_its_physical_qubits(self):
+        circ = Circuit(3, (Gate("h", (), (2,)), Gate("cx", (), (2, 0)), Gate("r", (np.pi / 4,), (1,))))
+        lines = to_qasm(circ, layout={0: 4, 1: 0, 2: 7}).splitlines()
+        assert lines[2:] == ["qreg q[8];", "h q[7];", "cx q[7],q[4];", "u3(pi/2,0,0) q[0];"]
 
     def test_default_layout(self):
         circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
