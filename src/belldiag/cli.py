@@ -40,18 +40,14 @@ def _report_row(report: measures.ResourceReport) -> list[float]:
     ]
 
 
-def _parse_numbers(text: str, flag: str) -> list[float]:
+def _parse_numbers(text: str, flag: str, count: int) -> list[float]:
     try:
-        return [float(p) for p in text.split(",")]
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise BellDiagError(f"{flag} needs comma-separated numbers, got {text!r}") from None
-
-
-def _parse_probs(text: str) -> states.BdsSpec:
-    parts = _parse_numbers(text, "--p")
-    if len(parts) != 4:
-        raise BellDiagError(f"--p needs four comma-separated probabilities, got {len(parts)}")
-    return states.BdsSpec(*parts)
+    if len(parts) != count:
+        raise BellDiagError(f"{flag} needs {count} comma-separated numbers, got {len(parts)}")
+    return parts
 
 
 def _parse_layout(text: str) -> dict[str, int]:
@@ -66,13 +62,6 @@ def _parse_layout(text: str) -> dict[str, int]:
         except ValueError:
             raise BellDiagError(f"bad layout entry {item!r}, expected name:index") from None
     return layout
-
-
-def _parse_noise(text: str) -> tuple[float, float]:
-    parts = _parse_numbers(text, "--noise")
-    if len(parts) != 2:
-        raise BellDiagError("--noise needs two comma-separated rates a,p")
-    return parts[0], parts[1]
 
 
 def _write_output(text: str, out_path: str | None) -> int:
@@ -90,7 +79,7 @@ def cmd_prepare(args) -> int:
     if args.werner is not None:
         spec = states.werner_spec(args.werner)
     else:
-        spec = _parse_probs(args.p)
+        spec = states.BdsSpec(*_parse_numbers(args.p, "--p", 4))
     circ = circuit_mod.purification_circuit(spec)
     rho = circuit_mod.prepared_state(spec)
     layout = _parse_layout(args.layout) if args.layout is not None else None
@@ -118,10 +107,10 @@ def _sweep_rows(args) -> list[str]:
     with its own seed ``seed * 100003 + i``; one ``full_reports``
     call then measures them all, so discord is searched on stacks of states.
     """
-    channel = noise.composite_damping(*_parse_noise(args.noise)) if args.noise else None
-    target_p = _parse_probs(args.p).probabilities
-    if args.points < 1 or args.shots < 0:
-        raise BellDiagError("--points must be >= 1 and --shots >= 0")
+    channel = noise.composite_damping(*_parse_numbers(args.noise, "--noise", 2)) if args.noise else None
+    target_p = states.BdsSpec(*_parse_numbers(args.p, "--p", 4)).probabilities
+    if args.points < 1:
+        raise BellDiagError("--points must be >= 1")
 
     heads, measured, targets = [], [], []
     for i in range(args.points):

@@ -90,7 +90,7 @@ class ResourceReport:
 
 def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of moduli of off-diagonal entries in the computational basis."""
-    off = np.abs(rho.matrix.copy())
+    off = np.abs(rho.matrix)
     np.fill_diagonal(off, 0.0)
     return float(np.sum(off))
 

@@ -69,16 +69,13 @@ class DensityMatrix:
         defect = qmath.hermiticity_defect(m)
         if defect > qmath.HERMITICITY_ATOL:
             raise NotAStateError(f"not Hermitian: max |m - m†| = {defect:.3e}")
+        object.__setattr__(self, "matrix", m)
         if validate:
             tr = float(np.trace(m).real)
             if abs(tr - 1.0) > qmath.HERMITICITY_ATOL:
                 raise NotAStateError(f"trace is {tr!r}, expected 1")
-            spectrum = np.linalg.eigvalsh(m)
-            if spectrum[0] < qmath.STATE_MIN_EIGENVALUE:
-                raise NotAStateError(f"min eigenvalue {spectrum[0]:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
-            spectrum.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "matrix", m)
+            if self.spectrum[0] < qmath.STATE_MIN_EIGENVALUE:
+                raise NotAStateError(f"min eigenvalue {self.spectrum[0]:.3e} below {qmath.STATE_MIN_EIGENVALUE}")
 
     @property
     def pauli(self) -> np.ndarray:
@@ -90,7 +87,7 @@ class DensityMatrix:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Read-only ascending eigenvalues, kept from validation or computed on first read."""
+        """Read-only ascending eigenvalues, computed on first read (validation's floor check) and kept."""
         if not hasattr(self, "_spectrum"):
             object.__setattr__(self, "_spectrum", np.linalg.eigvalsh(self.matrix))
             self._spectrum.setflags(write=False)

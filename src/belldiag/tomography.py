@@ -134,7 +134,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
         probs = probs / probs.sum()
         key = np.random.SeedSequence([seed, idx])
         rng = np.random.Generator(np.random.Philox(key))
-        counts[setting] = tuple(int(c) for c in rng.multinomial(shots, probs))
+        counts[setting] = rng.multinomial(shots, probs)
     return TomographyCounts(shots_per_setting=shots, counts=counts)
 
 
@@ -198,7 +198,7 @@ def counts_to_json(counts: TomographyCounts) -> str:
     payload = {
         "shots": counts.shots_per_setting,
         "settings": {
-            s.key: dict(zip(OUTCOMES, (int(v) for v in counts.counts[s])))
+            s.key: dict(zip(OUTCOMES, counts.counts[s]))
             for s in SETTINGS
         },
     }

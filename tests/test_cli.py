@@ -270,6 +270,9 @@ class TestErrorPath:
             ("prepare", "--werner", "0.5", "--layout", "zz:9"),
             ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:4,a:0"),
             ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:70000"),
+            ("sweep", "--points", "2", "--p", "0.5,0.5"),
+            ("sweep", "--points", "2", "--noise", "0.3"),
+            ("sweep", "--points", "2", "--shots", "-1"),
         ],
         ids=[
             "text-probs",
@@ -283,6 +286,9 @@ class TestErrorPath:
             "layout-without-qasm",
             "layout-repeated-name",
             "layout-beyond-register",
+            "short-probs",
+            "short-noise",
+            "negative-shots",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv):
@@ -290,6 +296,24 @@ class TestErrorPath:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep", "--points", "2", "--p", "0.5,0.5"), "--p needs 4 comma-separated numbers, got 2"),
+            (("prepare", "--p", "0,0,0,0.5,0.5"), "--p needs 4 comma-separated numbers, got 5"),
+            (("sweep", "--points", "2", "--noise", "0.3"), "--noise needs 2 comma-separated numbers, got 1"),
+            # tomograph owns the whole shot range, so the sweep's negative count gets its message.
+            (("sweep", "--points", "2", "--shots", "-1"), "shots must be in [0, "),
+            (("sweep", "--points", "0"), "--points must be >= 1"),
+        ],
+        ids=["sweep-short-probs", "prepare-long-probs", "short-noise", "negative-shots", "no-points"],
+    )
+    def test_bad_flag_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_lapack_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # The validated constructor's spectrum check is the first LAPACK call `measure` makes.

@@ -71,6 +71,12 @@ class TestSampleCounts:
             freqs = np.asarray(counts.counts[setting]) / 10**6
             assert np.max(np.abs(freqs - 0.25)) < 0.005
 
+    @pytest.mark.parametrize("shots", [1, 8192, np.iinfo(np.int64).max])
+    def test_counts_are_python_ints(self, shots):
+        counts = bd.sample_counts(bd.werner(0.5), shots, seed=7)
+        assert all(type(row) is tuple and len(row) == 4 for row in counts.counts.values())
+        assert all(type(v) is int for row in counts.counts.values() for v in row)
+
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
             bd.sample_counts(bd.werner(0.5), shots=0, seed=1)
@@ -108,6 +114,14 @@ class TestTomographyCounts:
         with pytest.raises(TypeError):
             tc.counts[SETTINGS[0]] = (0, 4, 0, 0)
         assert dict(make_counts(4, (np.int64(4), 0, 0, 0)).counts) == {s: (4, 0, 0, 0) for s in SETTINGS}
+
+    def test_numpy_integer_rows_are_held_as_int(self):
+        rows = {s: bd.sample_counts(bd.werner(0.5), 64, seed=2).counts[s] for s in SETTINGS}
+        as_numpy = TomographyCounts(64, {s: np.array(row, dtype=np.int64) for s, row in rows.items()})
+        as_int = TomographyCounts(64, rows)
+        assert all(type(v) is int for row in as_numpy.counts.values() for v in row)
+        assert as_numpy == as_int
+        assert counts_to_json(as_numpy).encode() == counts_to_json(as_int).encode()
 
     def test_negative_count_named_by_setting(self):
         with pytest.raises(OutOfRangeError, match=r"XX count must be in \[0, inf\], got -1"):
