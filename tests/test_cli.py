@@ -151,8 +151,12 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "flags",
-        ["--points 101 --shots 8192 --seed 7", "--points 101 --shots 0 --noise 0.3,0.3"],
-        ids=["sampled", "exact-noisy"],
+        [
+            "--points 101 --shots 8192 --seed 7",
+            "--points 101 --shots 0 --noise 0.3,0.3",
+            "--points 11 --shots 8192 --seed 1",
+        ],
+        ids=["sampled", "exact-noisy", "sampled-11"],
     )
     def test_default_target_is_the_bell_state_b11(self, capsys, flags):
         _, default, _ = run(capsys, "sweep", *flags.split())
@@ -273,6 +277,11 @@ class TestErrorPath:
             ("sweep", "--points", "2", "--p", "0.5,0.5"),
             ("sweep", "--points", "2", "--noise", "0.3"),
             ("sweep", "--points", "2", "--shots", "-1"),
+            ("prepare", "--p", "1e400,0,0,0"),
+            ("sweep", "--noise", "1.5,0", "--points", "2"),
+            ("sweep", "--points", "2", "--p", "0.5,0.5,0.5,0.5"),
+            ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:-1"),
+            ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:65536"),
         ],
         ids=[
             "text-probs",
@@ -289,6 +298,11 @@ class TestErrorPath:
             "short-probs",
             "short-noise",
             "negative-shots",
+            "overflow-probs",
+            "noise-above-1",
+            "probs-sum-2",
+            "layout-negative-index",
+            "layout-at-65536",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv):
@@ -335,6 +349,7 @@ class TestErrorPath:
         valid = valid_input(command)
         for name, data in [
             ("latin1", b'{"n_qubits": 2, "note": "\xe9"}'),
+            ("latin1-counts", b'{"shots": 4, "settings": "\xe9"}\n'),
             ("utf16", valid.encode("utf-16")),
             ("utf32", valid.encode("utf-32")),
         ]:
@@ -354,6 +369,38 @@ class TestErrorPath:
         want = run(capsys, command, str(plain))
         assert want[0] == EXIT_OK and want[1]
         assert run(capsys, command, str(bom)) == want
+
+    @pytest.mark.parametrize(
+        "command, document, code",
+        [
+            ("tomograph", counts_to_json(bd.sample_counts(bd.werner(0.5), 64, 1)), EXIT_OK),
+            # A state file of the wrong size is refused before any matrix arithmetic sees it.
+            (
+                "measure",
+                json.dumps({"n_qubits": 2, "re": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], "im": [[0] * 3] * 3}),
+                EXIT_VALIDATION,
+            ),
+            (
+                "measure",
+                json.dumps({"n_qubits": 3, "re": [[(i == j) / 8 for j in range(8)] for i in range(8)], "im": [[0] * 8] * 8}),
+                EXIT_VALIDATION,
+            ),
+            # A rank-2 mixture of |00> and a Bell state: both Bloch vectors are (0, 0, 0.6).
+            (
+                "measure",
+                json.dumps({"n_qubits": 2, "re": [[0.8, 0, 0, 0.2], [0] * 4, [0] * 4, [0.2, 0, 0, 0.2]], "im": [[0] * 4] * 4}),
+                EXIT_OK,
+            ),
+        ],
+        ids=["counts", "state-3x3", "state-8x8", "rank-2"],
+    )
+    def test_input_file_exit_code(self, tmp_path, command, document, code):
+        # Each file is one document and a newline, as print() writes it.
+        path = tmp_path / "input.json"
+        path.write_text(document + "\n")
+        proc = run_cli(command, str(path))
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_integer_counts_exit_2(self, tmp_path):
         payload = json.loads(counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=1)))
@@ -409,6 +456,7 @@ class TestErrorPath:
             ("tomograph", "{directory}"),
             ("sweep", "--points", "2", "--shots", "0", "--out", "{unwritable}"),
             ("prepare", "--werner", "0.5", "--out", "{directory}"),
+            ("measure", "/nonexistent.json"),
         ],
         ids=[
             "measure-missing",
@@ -417,6 +465,7 @@ class TestErrorPath:
             "tomograph-directory",
             "sweep-unwritable",
             "prepare-directory",
+            "measure-nonexistent",
         ],
     )
     def test_io_failure_exits_3_without_traceback(self, tmp_path, argv):
@@ -444,8 +493,8 @@ class TestErrorPath:
 
 
 class TestOutputBytes:
-    """sha-256 of stdout for the acceptance commands; a change that moves these bytes
-    on purpose records it and updates the digest."""
+    """sha-256 of stdout for the acceptance commands and other fixed commands; a change
+    that moves these bytes on purpose records it and updates the digest."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -461,6 +510,19 @@ class TestOutputBytes:
             (
                 "sweep --points 11 --shots 0 --p 0.42,0.18,0.28,0.12",
                 "02642bee37d377c046dfa848e5c3b70afc7994b890ef6b76cb12d56def966259",
+            ),
+            (
+                "sweep --points 3 --shots 0",
+                "10820cc128819608fba083fd11fa5a923eed886850a8a76a0dac254667c99a28",
+            ),
+            # Measured and theory states are reported as one stack: two states, then more than one chunk.
+            (
+                "sweep --points 1 --shots 0",
+                "7184ede87cac815ceb382dcac6e7c470649edfab0e1585836733ef4bc1d76e1f",
+            ),
+            (
+                "sweep --points 150 --shots 0 --noise 0.3,0.3",
+                "e97f2c7236a8c0cc9be69baa9a5ec8e40318ae2a6e6b4a876ad2ad15b3aa596b",
             ),
             (
                 "sweep --points 11 --shots 8192 --seed 1",
@@ -482,6 +544,11 @@ class TestOutputBytes:
                 "sweep --points 11 --shots 8192 --seed 1 --no-project",
                 "bb244c1da9ce6b1a31470b94f56b750faec63d7beae1a5879d2718c727e0f4ac",
             ),
+            # Raw linear inversions that are not PSD: held unvalidated, and still measured.
+            (
+                "sweep --points 3 --shots 64 --no-project",
+                "6870ade8b5cc6cb5d400d071f4686f94104fa33222090cb6466d507baad145e8",
+            ),
             (
                 "prepare --werner 0.5 --qasm",
                 "8170c02c9ce1387c8a95f1f5793601e53e07e616010917e992adb29f0173a147",
@@ -497,6 +564,10 @@ class TestOutputBytes:
                 "fa59630b0e5392522f2e051d62ae9cb05b0cb8f92c4ae68539605920fef797c2",
             ),
             (
+                "prepare --p 0,0,0.3,0.7 --qasm --layout a:0,b:1,c:2,d:3",
+                "96c1cce918ba0dcc369a03d99301a7cf1e35983e3419788455712f71e2d8ae25",
+            ),
+            (
                 "prepare --p 0.3,0.7,0,0 --qasm",
                 "979d50f1478cd5ae510f125b7b3d32b39b898471c1ae4f6a0c4f19a396d52663",
             ),
@@ -508,6 +579,11 @@ class TestOutputBytes:
                 "prepare --werner 1 --qasm",
                 "3573f64db2029969efc615b35ab7f45f1559c311315feafb01adda3df5b4528f",
             ),
+            # The Werner state of weight 1 is the vertex |b11>: the same bytes.
+            (
+                "prepare --p 0,0,0,1 --qasm",
+                "3573f64db2029969efc615b35ab7f45f1559c311315feafb01adda3df5b4528f",
+            ),
             (
                 "prepare --p 1,0,0,0",
                 "93a05d55a47e42e01105c9fea127a1dd5bf18ecda6e3b2552af39b3786cc5036",
@@ -515,8 +591,9 @@ class TestOutputBytes:
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv.split())
+        code, out, err = run(capsys, *argv.split())
         assert code == EXIT_OK
+        assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("shots", ["0", "8192"])

@@ -195,6 +195,21 @@ class TestDiscord:
         if gap < -1e-4:
             assert discord - discord_grid_oracle(rho.matrix, n_theta=361, n_phi=721) >= -1e-4
 
+    @pytest.mark.parametrize(
+        "a, p, w",
+        [(0.3, 0.3, 0.5), (0.3, 0.3, 1.0), (0.6, 0, 0.8), (0.1, 0.7, 0.3), (0.9, 0.3, 0.9), (0.25, 0.25, 0.7)],
+    )
+    def test_damped_werner_never_above_the_grid_oracle(self, a, p, w):
+        # The paper's damped Werner states: amplitude damping gives qubit a a Bloch
+        # vector, so discord takes the stencil search, not the closed form.
+        rho = bd.apply_channel(bd.composite_damping(a, p), bd.werner(w))
+        assert np.linalg.norm(rho.pauli[1:, 0]) > ROUNDOFF_CLAMP
+        discord = bd.discord_oz(rho)
+        gap = discord - discord_grid_oracle(rho.matrix, n_theta=181, n_phi=361)
+        assert gap <= 1e-12
+        if gap < -1e-4:
+            assert discord - discord_grid_oracle(rho.matrix, n_theta=361, n_phi=721) >= -1e-4
+
 
 class TestZeroMarginalDiscord:
     def test_oracle_agrees_with_grid_oracle(self, rng):
