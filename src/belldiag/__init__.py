@@ -33,7 +33,6 @@ from .states import (
     werner_spec,
 )
 from .tomography import (
-    CorrelationMatrix,
     MeasurementSetting,
     ReconstructionResult,
     TomographyCounts,

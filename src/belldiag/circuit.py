@@ -235,15 +235,16 @@ def to_qasm(
         else:
             phys = {i: i for i in range(circ.n_qubits)}
     else:
-        phys = by_logical_index(layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit", 0))
+        phys = by_logical_index(
+            layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit", 0, MAX_PHYSICAL_QUBITS - 1)
+        )
     missing = set(range(circ.n_qubits)) - set(phys)
     if missing:
         raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
     if len(set(phys.values())) != len(phys):
         raise InvalidLayoutError(f"layout is not injective into physical indices: {_shown(phys)}")
 
-    size = strict_index(max(phys.values()) + 1, InvalidLayoutError, "the register size", 1, MAX_PHYSICAL_QUBITS)
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{size}];"]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{max(phys.values()) + 1}];"]
 
     bases = by_logical_index({} if measure_basis is None else measure_basis, read_basis)
     measured = sorted(bases.items())

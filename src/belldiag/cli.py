@@ -89,7 +89,7 @@ def cmd_prepare(args) -> int:
         "theta": 2 * circ.gates[0].params[0],
         "probabilities": spec.probabilities.tolist(),
         "circuit": {"n_qubits": circ.n_qubits, "gates": [asdict(g) for g in circ.gates]},
-        "state": json.loads(states.density_matrix_to_json(rho)),
+        "state": rho.as_dict(),
     }
     text = json.dumps(doc, indent=2)
     if qasm is not None:
@@ -160,7 +160,7 @@ def cmd_tomograph(args) -> int:
     result = tomography.reconstruct(tomography.estimate_correlations(counts))
     doc = {
         "projected": result.projected,
-        "state": json.loads(states.density_matrix_to_json(result.state)),
+        "state": result.state.as_dict(),
         "measures": measures.full_report(result.state).as_dict(),
     }
     return _write_output(json.dumps(doc, indent=2) + "\n", args.out)

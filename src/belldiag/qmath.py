@@ -1,6 +1,6 @@
 """Dense complex linear algebra primitives for small multi-qubit operators.
 
-Callers pass shapes that ``DensityMatrix`` or ``CorrelationMatrix`` have
+Callers pass shapes that ``DensityMatrix`` or ``tomography.reconstruct`` have
 already fixed, and ``DensityMatrix`` decides a state's Hermiticity, so this
 module checks only the spectrum floor. Every function is pure: inputs are
 never mutated.

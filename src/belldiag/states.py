@@ -93,6 +93,10 @@ class DensityMatrix:
             self._spectrum.setflags(write=False)
         return self._spectrum
 
+    def as_dict(self) -> dict:
+        """The JSON form ``{"im": [[..]], "n_qubits": 2, "re": [[..]]}``, keys in that order."""
+        return {"im": self.matrix.imag.tolist(), "n_qubits": self.n_qubits, "re": self.matrix.real.tolist()}
+
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
 
@@ -206,12 +210,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:
     """Serialize a state as ``{"n_qubits": 2, "re": [[..]], "im": [[..]]}``."""
-    payload = {
-        "n_qubits": rho.n_qubits,
-        "re": [[float(x) for x in row] for row in rho.matrix.real],
-        "im": [[float(x) for x in row] for row in rho.matrix.imag],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(rho.as_dict(), indent=2, sort_keys=True)
 
 
 def density_matrix_from_json(text: str | bytes) -> DensityMatrix:

@@ -3,9 +3,10 @@
 The nine two-qubit measurement settings pair one of X, Y, Z on each side.
 Counts are recorded per setting in the outcome order ++, +-, -+, -- (the
 signs are the local Pauli eigenvalues). The outcome probabilities of all nine
-settings are one table read off the Pauli coefficients. Linear inversion
-reconstructs ``rho = (1/4) sum_jk c_jk sigma_j x sigma_k`` and projects onto
-the physical set below the floor ``qmath.STATE_MIN_EIGENVALUE``.
+settings are one table read off the Pauli coefficients. Both correlation
+functions return that table ``c``, laid out as ``DensityMatrix.pauli``; linear
+inversion checks it, reconstructs ``rho = (1/4) sum_jk c_jk sigma_j x sigma_k``
+and projects onto the physical set below ``qmath.STATE_MIN_EIGENVALUE``.
 """
 
 from __future__ import annotations
@@ -81,22 +82,6 @@ class TomographyCounts:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Estimated Pauli correlations c[j][k] = <sigma_j x sigma_k>, c[0][0] = 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = strict_array(self.values, float, (4, 4), DimensionMismatchError, "a correlation matrix")
-        if v[0, 0] != 1.0:
-            raise OutOfRangeError(f"c[0][0] must be exactly 1, got {v[0, 0]!r}")
-        # Written as "not within" so that NaN, which fails every comparison, is rejected.
-        if not np.all(np.abs(v) <= 1.0 + 1e-12):
-            raise OutOfRangeError("correlation entries must be finite and lie in [-1, 1]")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     """Linear-inversion output: physical state, projection flag, raw matrix."""
 
@@ -138,8 +123,8 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     return TomographyCounts(shots_per_setting=shots, counts=counts)
 
 
-def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
-    """Empirical correlation matrix from measured counts."""
+def estimate_correlations(counts: TomographyCounts) -> np.ndarray:
+    """Estimated Pauli coefficients ``c``, laid out as ``DensityMatrix.pauli``, from measured counts."""
     # n[j - 1, k - 1] holds the outcome counts of setting (sigma_j, sigma_k). Signed
     # sums of counts are exact integers, so each estimate is rounded once, at the division.
     n = np.array([counts.counts[s] for s in SETTINGS], dtype=float).reshape(3, 3, 4)
@@ -151,23 +136,30 @@ def estimate_correlations(counts: TomographyCounts) -> CorrelationMatrix:
     # use their mean to reduce variance.
     c[1:, 0] = np.sum(n @ _SIGNS_A, axis=1) / (3 * shots)
     c[0, 1:] = np.sum(n @ _SIGNS_B, axis=0) / (3 * shots)
-    return CorrelationMatrix(np.clip(c, -1.0, 1.0))
+    return np.clip(c, -1.0, 1.0)
 
 
-def exact_correlations(rho: DensityMatrix) -> CorrelationMatrix:
-    """Infinite-shot correlation matrix: the state's Pauli coefficients."""
+def exact_correlations(rho: DensityMatrix) -> np.ndarray:
+    """Infinite-shot estimate: the state's Pauli coefficients ``rho.pauli``, clipped, with c[0][0] = 1."""
     c = np.clip(rho.pauli, -1.0, 1.0)
     c[0, 0] = 1.0
-    return CorrelationMatrix(c)
+    return c
 
 
-def reconstruct(corr: CorrelationMatrix) -> ReconstructionResult:
-    """Linear inversion, with spectral projection if the result is unphysical.
+def reconstruct(c: np.ndarray) -> ReconstructionResult:
+    """Linear inversion of the Pauli coefficients ``c``, with spectral projection if unphysical.
 
-    Projection clips negative eigenvalues to zero and renormalizes the
+    ``c`` is a real 4x4 table laid out as ``DensityMatrix.pauli``, with c[0][0] = 1 and every
+    entry in [-1, 1]. Projection clips negative eigenvalues to zero and renormalizes the
     trace; the unmodified linear-inversion matrix is kept for inspection.
     """
-    raw = qmath.from_pauli_coefficients(corr.values)
+    c = strict_array(c, float, (4, 4), DimensionMismatchError, "a correlation matrix")
+    if c[0, 0] != 1.0:
+        raise OutOfRangeError(f"c[0][0] must be exactly 1, got {c[0, 0]!r}")
+    # Written as "not within" so that NaN, which fails every comparison, is rejected.
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):
+        raise OutOfRangeError("correlation entries must be finite and lie in [-1, 1]")
+    raw = qmath.from_pauli_coefficients(c)
     w, v = np.linalg.eigh(raw)
     projected = bool(w[0] < qmath.STATE_MIN_EIGENVALUE)
     physical = raw
@@ -187,10 +179,8 @@ def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionRe
     """
     shots = strict_index(shots, OutOfRangeError, "shots", 0, MAX_SHOTS)
     if shots == 0:
-        corr = exact_correlations(rho)
-    else:
-        corr = estimate_correlations(sample_counts(rho, shots, seed))
-    return reconstruct(corr)
+        return reconstruct(exact_correlations(rho))
+    return reconstruct(estimate_correlations(sample_counts(rho, shots, seed)))
 
 
 def counts_to_json(counts: TomographyCounts) -> str:

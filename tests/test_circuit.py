@@ -400,7 +400,7 @@ class TestQasm:
         circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
         top = MAX_PHYSICAL_QUBITS - 1
         assert f"qreg q[{MAX_PHYSICAL_QUBITS}];" in to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": top})
-        with pytest.raises(InvalidLayoutError, match=r"register size must be in \[1, 65536\], got 65537"):
+        with pytest.raises(InvalidLayoutError, match=r"^a physical qubit must be in \[0, 65535\], got 65536$"):
             to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": MAX_PHYSICAL_QUBITS})
 
     def test_custom_layout_and_errors(self):
@@ -432,8 +432,8 @@ class TestQasm:
             with pytest.raises(InvalidLayoutError, match="basis"):
                 to_qasm(circ, measure_basis={0: basis})
         assert to_qasm(circ, layout={np.int64(0): 1, 1: np.int64(3), 2: 2, 3: 4}) == to_qasm(circ)
-        # Physical qubits are nonnegative, logical ones lie in the register; each reader says so.
-        with pytest.raises(InvalidLayoutError, match=r"physical qubit must be in \[0, inf\], got -1"):
+        # Physical qubits lie below MAX_PHYSICAL_QUBITS, logical ones in the register; each reader says so.
+        with pytest.raises(InvalidLayoutError, match=r"^a physical qubit must be in \[0, 65535\], got -1$"):
             to_qasm(circ, layout={"a": 1, "b": 3, "c": 2, "d": -1})
         with pytest.raises(InvalidLayoutError, match=r"logical qubit must be in \[0, 3\], got 9"):
             to_qasm(circ, measure_basis={9: "Z"})

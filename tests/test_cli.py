@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,8 +321,19 @@ class TestErrorPath:
             # tomograph owns the whole shot range, so the sweep's negative count gets its message.
             (("sweep", "--points", "2", "--shots", "-1"), "shots must be in [0, "),
             (("sweep", "--points", "0"), "--points must be >= 1"),
+            (
+                ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:65536"),
+                "a physical qubit must be in [0, 65535], got 65536\n",
+            ),
         ],
-        ids=["sweep-short-probs", "prepare-long-probs", "short-noise", "negative-shots", "no-points"],
+        ids=[
+            "sweep-short-probs",
+            "prepare-long-probs",
+            "short-noise",
+            "negative-shots",
+            "no-points",
+            "layout-at-65536",
+        ],
     )
     def test_bad_flag_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -610,3 +622,12 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_python_blocks_run(capsys):
+    # A README that still names a deleted or renamed API fails here, not in a reader's hands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -74,8 +74,8 @@ FUZZED = {
     "decohered_werner_sweep": (bd.decohered_werner_sweep, JUNK, JUNK, JUNK),
     "MeasurementSetting": (bd.MeasurementSetting, JUNK, JUNK),
     "TomographyCounts": (bd.TomographyCounts, JUNK, JUNK),
-    "CorrelationMatrix": (bd.CorrelationMatrix, JUNK),
     "counts_from_json": (bd.counts_from_json, JUNK),
+    "reconstruct": (bd.reconstruct, JUNK),
     "tomograph": (lambda shots, seed: bd.tomograph(RHO, shots, seed), JUNK, JUNK),
     "sample_counts": (lambda shots, seed: bd.sample_counts(RHO, shots, seed), JUNK, JUNK),
 }
@@ -98,8 +98,8 @@ TAKES_A_DENSITY_MATRIX = (
     "exact_correlations",
     "density_matrix_to_json",
 )
-# Not fuzzed either: these take another validated record (a BdsSpec, Circuit,
-# TomographyCounts or CorrelationMatrix), or are an output record.
+# Not fuzzed either: these take another validated record (a BdsSpec, Circuit or
+# TomographyCounts), or are an output record.
 TAKES_ANOTHER_RECORD = (
     "bds_from_spec",
     "purification_circuit",
@@ -107,7 +107,6 @@ TAKES_ANOTHER_RECORD = (
     "simulate_statevector",
     "counts_to_json",
     "estimate_correlations",
-    "reconstruct",
     "ResourceReport",
     "ReconstructionResult",
 )
@@ -195,8 +194,9 @@ BITS = "an integer of 16610 bits"
         (lambda: bd.MeasurementSetting([H], "X"), "got a list, 'X'"),
         (lambda: bd.to_qasm(PREP, layout=H), "got int"),
         (lambda: bd.to_qasm(PREP, measure_basis={0: H}), f"basis {BITS}"),
-        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": H, "c": 1, "d": 2}), "indices: a dict"),
-        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": 0, "c": 1, "d": 2}), f"register size must be in [1, 65536], got {BITS}"),
+        # Each index is bounded as it is read, so a huge one never reaches the injectivity check.
+        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": H, "c": 1, "d": 2}), f"a physical qubit must be in [0, 65535], got {BITS}"),
+        (lambda: bd.to_qasm(PREP, layout={"a": H, "b": 0, "c": 1, "d": 2}), f"a physical qubit must be in [0, 65535], got {BITS}"),
     ],
     ids=[
         "counts-row",

@@ -407,6 +407,9 @@ class TestJsonFormat:
         back = density_matrix_from_json(density_matrix_to_json(rho))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
         assert back.n_qubits == rho.n_qubits
+        # The CLI dumps as_dict() without sort_keys, so as_dict() holds the sorted key order.
+        assert json.loads(density_matrix_to_json(rho)) == rho.as_dict()
+        assert list(rho.as_dict()) == ["im", "n_qubits", "re"]
 
     def test_malformed(self):
         with pytest.raises(NotAStateError):

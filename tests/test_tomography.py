@@ -9,7 +9,6 @@ from belldiag import qmath
 from belldiag.exceptions import DimensionMismatchError, OutOfRangeError
 from belldiag.tomography import (
     SETTINGS,
-    CorrelationMatrix,
     MeasurementSetting,
     TomographyCounts,
     counts_from_json,
@@ -106,10 +105,10 @@ class TestTomographyCounts:
         # Changing the caller's mapping or rows after validation changes nothing.
         d = {s: [4, 0, 0, 0] for s in SETTINGS}
         tc = TomographyCounts(4, d)
-        before = bd.estimate_correlations(tc).values
+        before = bd.estimate_correlations(tc)
         d[SETTINGS[0]] = (400, 0, 0, 0)
         d[SETTINGS[4]][0] = 400
-        np.testing.assert_array_equal(bd.estimate_correlations(tc).values, before)
+        np.testing.assert_array_equal(bd.estimate_correlations(tc), before)
         assert tc.counts[SETTINGS[0]] == (4, 0, 0, 0) and tc.counts[SETTINGS[4]] == (4, 0, 0, 0)
         with pytest.raises(TypeError):
             tc.counts[SETTINGS[0]] = (0, 4, 0, 0)
@@ -156,7 +155,7 @@ class TestTomographyCounts:
 class TestEstimateCorrelations:
     def test_exact_werner(self):
         for w in (0.2, 0.5, 1.0):
-            c = exact_correlations(bd.werner(w)).values
+            c = exact_correlations(bd.werner(w))
             np.testing.assert_allclose(np.diag(c)[1:], [-w] * 3, atol=1e-12)
             off = c - np.diag(np.diag(c))
             assert np.max(np.abs(off)) < 1e-12
@@ -164,22 +163,22 @@ class TestEstimateCorrelations:
 
     def test_all_plus_plus(self):
         counts = make_counts(100, (100, 0, 0, 0))
-        np.testing.assert_allclose(bd.estimate_correlations(counts).values, np.ones((4, 4)))
+        np.testing.assert_allclose(bd.estimate_correlations(counts), np.ones((4, 4)))
 
     def test_uniform(self):
         counts = make_counts(100, (25, 25, 25, 25))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(bd.estimate_correlations(counts).values, expected)
+        np.testing.assert_allclose(bd.estimate_correlations(counts), expected)
 
     def test_clip_holds_above_2_53_shots(self):
         # The counts fit no float: n = 2**53 + 3 rounds to 2**53 + 4 and the shots 2**54 + 2
         # to 2**54, so each c_jk comes out 1 + 2**-52, which the 1e-12 tolerance of
-        # CorrelationMatrix would accept. Only the clip keeps it at 1.
+        # reconstruct would accept. Only the clip keeps it at 1.
         shots, row = 2**54 + 2, (2**53 + 3, 0, 0, 2**53 - 1)
         assert np.array(row, dtype=float) @ [1, -1, -1, 1] / shots == 1 + 2**-52
-        values = bd.estimate_correlations(make_counts(shots, row)).values
-        assert np.abs(values).max() == 1.0
+        c = bd.estimate_correlations(make_counts(shots, row))
+        assert np.abs(c).max() == 1.0
 
     def test_matches_per_setting_sums(self, rng):
         # Per-setting sums in exact rationals, rounded once: the estimate is the
@@ -195,13 +194,13 @@ class TestEstimateCorrelations:
                 want[j][0] += Fraction(pp + pm - mp - mm, 3 * shots)
                 want[0][k] += Fraction(pp + mp - pm - mm, 3 * shots)
             np.testing.assert_array_equal(
-                bd.estimate_correlations(counts).values, np.array(want, dtype=float)
+                bd.estimate_correlations(counts), np.array(want, dtype=float)
             )
 
     def test_matches_pauli_expectations(self, rng):
         for _ in range(100):
             rho = ginibre_state(rng)
-            c = exact_correlations(rho).values
+            c = exact_correlations(rho)
             for j in range(4):
                 for k in range(4):
                     direct = float(
@@ -219,7 +218,7 @@ class TestReconstruct:
     def test_identity_correlations(self):
         c = np.zeros((4, 4))
         c[0, 0] = 1.0
-        result = bd.reconstruct(CorrelationMatrix(c))
+        result = bd.reconstruct(c)
         np.testing.assert_allclose(result.state.matrix, np.eye(4) / 4, atol=1e-14)
 
     def test_unphysical_projected(self):
@@ -227,7 +226,7 @@ class TestReconstruct:
         # linear-inversion eigenvalue of -1/2.
         c = np.zeros((4, 4))
         c[0, 0] = c[1, 1] = c[2, 2] = c[3, 3] = 1.0
-        result = bd.reconstruct(CorrelationMatrix(c))
+        result = bd.reconstruct(c)
         assert result.projected
         w = np.linalg.eigvalsh(result.state.matrix)
         assert w[0] > -1e-12
@@ -239,10 +238,10 @@ class TestReconstruct:
         c[0, 0] = 1.0
         c[3, 3] = 1.2
         with pytest.raises(OutOfRangeError):
-            CorrelationMatrix(c)
+            bd.reconstruct(c)
         for c00 in (0.5, np.nan):
             with pytest.raises(OutOfRangeError, match="must be exactly 1"):
-                CorrelationMatrix(np.diag([c00, 1.0, 1.0, 1.0]))
+                bd.reconstruct(np.diag([c00, 1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize(
         "values",
@@ -252,7 +251,7 @@ class TestReconstruct:
     def test_non_real_entries_rejected(self, values):
         # np.array(..., dtype=float) would drop an imaginary part and read booleans and text.
         with pytest.raises(DimensionMismatchError):
-            CorrelationMatrix(values)
+            bd.reconstruct(values)
 
     @pytest.mark.parametrize(
         "values", [np.eye(3), np.eye(4).ravel(), np.eye(4)[:, :, None]], ids=["3x3", "16", "4x4x1"]
@@ -260,14 +259,26 @@ class TestReconstruct:
     def test_wrong_shape_rejected(self, values):
         # The one size check between reconstruct and qmath, which checks no sizes.
         with pytest.raises(DimensionMismatchError, match="must be a 4x4 array"):
-            CorrelationMatrix(values)
+            bd.reconstruct(values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
         c = np.eye(4)
         c[1, 2] = bad
         with pytest.raises(OutOfRangeError):
-            bd.reconstruct(CorrelationMatrix(c))
+            bd.reconstruct(c)
+
+    def test_any_array_form_gives_the_same_bits(self, rng):
+        # reconstruct reads c into its own C-ordered copy, so the caller's layout cannot matter.
+        c = bd.estimate_correlations(bd.sample_counts(ginibre_state(rng), 300, seed=5))
+        read_only = c.copy()
+        read_only.setflags(write=False)
+        expected = bd.reconstruct(np.ascontiguousarray(c))
+        for form in (c.tolist(), read_only, np.asfortranarray(c)):
+            result = bd.reconstruct(form)
+            assert result.projected is expected.projected
+            assert np.array_equal(result.state.matrix, expected.state.matrix)
+            assert np.array_equal(result.raw_matrix, expected.raw_matrix)
 
     def test_round_trip_on_random_states(self, rng):
         for _ in range(100):
@@ -309,10 +320,10 @@ class TestTomograph:
     )
     def test_returns_the_reconstruction_of_the_explicit_chain(self, rho, shots, seed, projected):
         if shots == 0:
-            corr = exact_correlations(rho)
+            c = exact_correlations(rho)
         else:
-            corr = bd.estimate_correlations(bd.sample_counts(rho, shots, seed))
-        expected = bd.reconstruct(corr)
+            c = bd.estimate_correlations(bd.sample_counts(rho, shots, seed))
+        expected = bd.reconstruct(c)
         result = bd.tomograph(rho, shots, seed)
         assert result.projected is expected.projected is projected
         assert np.array_equal(result.state.matrix, expected.state.matrix)
@@ -326,10 +337,10 @@ class TestTomograph:
 
     def test_convergence_at_default_shot_count(self):
         rho = bd.werner(0.5)
-        exact = exact_correlations(rho).values
+        exact = exact_correlations(rho)
         for seed in range(30):
             counts = bd.sample_counts(rho, shots=8192, seed=seed)
-            estimated = bd.estimate_correlations(counts).values
+            estimated = bd.estimate_correlations(counts)
             assert np.max(np.abs(estimated - exact)) < 0.05
 
 
