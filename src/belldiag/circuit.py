@@ -10,9 +10,11 @@ and the circuit has six gates.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -151,13 +153,26 @@ def purification_circuit(spec: BdsSpec) -> Circuit:
 
 def simulate_statevector(circ: Circuit) -> np.ndarray:
     """Apply the circuit's gates in order to the all-zero computational basis state."""
-    psi = np.zeros(2**circ.n_qubits, dtype=complex)
-    psi[0] = 1.0
-    index = np.arange(psi.size).reshape((2,) * circ.n_qubits)
-    for g in circ.gates:
-        # Row r holds the amplitudes whose target bits, in the order the gate's matrix reads them, spell r.
-        rows = np.moveaxis(index, g.targets, range(len(g.targets))).reshape(2 ** len(g.targets), -1)
-        psi[rows] = g.matrix() @ psi[rows]
+    return _simulated(circ.n_qubits, [circ.gates])[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _index_rows(n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
+    """Row r holds the amplitudes whose target bits, in the gate matrix's order, spell r; cached, so read-only."""
+    index = np.arange(2**n_qubits).reshape((2,) * n_qubits)
+    rows = np.moveaxis(index, targets, range(len(targets))).reshape(2 ** len(targets), -1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _simulated(n_qubits: int, circuits: Sequence[tuple[Gate, ...]]) -> np.ndarray:
+    """State vectors (N, 2**n) of N gate sequences of the same kinds and targets, each with its own angles."""
+    psi = np.zeros((len(circuits), 2**n_qubits), dtype=complex)
+    psi[:, 0] = 1.0
+    for gates in zip(*circuits):  # the i-th gate of every sequence
+        m = np.array([g.matrix() for g in gates]) if gates[0].params else gates[0].matrix()
+        rows = _index_rows(n_qubits, gates[0].targets)
+        psi[:, rows] = m @ psi[:, rows]
     return psi
 
 
@@ -165,6 +180,18 @@ def prepared_state(spec: BdsSpec) -> DensityMatrix:
     """Simulate the preparation circuit and trace out a, b: as a 4x4 table, psi's rows are a, b."""
     psi = simulate_statevector(purification_circuit(spec)).reshape(4, 4)
     return DensityMatrix(np.einsum("ai,aj->ij", psi, psi.conj()), validate=False)
+
+
+def _prepared_states(specs: Sequence[BdsSpec]) -> np.ndarray:
+    """``prepared_state`` of each spec, bit for bit, as one (N, 4, 4) stack: one simulation per gate sequence."""
+    circuits = [purification_circuit(spec).gates for spec in specs]
+    kinds = [tuple((g.kind, g.targets) for g in gates) for gates in circuits]
+    psi = np.empty((len(circuits), 16), dtype=complex)
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, k in enumerate(kinds) if k == kind]
+        psi[rows] = _simulated(4, [circuits[i] for i in rows])
+    psi = psi.reshape(-1, 4, 4)
+    return np.einsum("nai,naj->nij", psi, psi.conj())
 
 
 _PI_FRACTIONS = [1, 2, 3, 4, 6, 8]
@@ -238,11 +265,13 @@ def to_qasm(
         phys = by_logical_index(
             layout, lambda v: strict_index(v, InvalidLayoutError, "a physical qubit", 0, MAX_PHYSICAL_QUBITS - 1)
         )
-    missing = set(range(circ.n_qubits)) - set(phys)
+    missing = [name for i, name in enumerate(circ.qubit_names) if i not in phys]
     if missing:
-        raise InvalidLayoutError(f"layout is missing logical qubits {sorted(missing)}")
-    if len(set(phys.values())) != len(phys):
-        raise InvalidLayoutError(f"layout is not injective into physical indices: {_shown(phys)}")
+        raise InvalidLayoutError(f"layout is missing qubits {missing}")
+    for i, j in itertools.combinations(sorted(phys), 2):
+        if phys[i] == phys[j]:
+            names = circ.qubit_names
+            raise InvalidLayoutError(f"qubits {names[i]!r} and {names[j]!r} both on physical {phys[i]}")
 
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{max(phys.values()) + 1}];"]
 

@@ -103,35 +103,33 @@ def _sweep_rows(args) -> list[str]:
     Each row mixes the maximally mixed state toward the ``--p`` spec with
     weight w. The default spec ``0,0,0,1`` is the (1,1) Bell state, so
     without ``--p`` the rows follow the Werner family.
-    Every row's target and measured state are built first, each row sampled
-    with its own seed ``seed * 100003 + i``; one ``full_reports``
-    call then measures them all, so discord is searched on stacks of states.
+    The sweep runs as one stack: every row is prepared, damped, sampled (row i
+    with its own seed ``seed * 100003 + i``), reconstructed and scored against
+    its target at once, by the stacked kernels whose stack of one are
+    ``apply_channel``, ``tomograph`` and ``fidelity``; each row has the bits of
+    those per-state calls and of ``prepared_state``. One ``full_reports`` call
+    then measures every row, so discord is searched on stacks of states too.
     """
     channel = noise.composite_damping(*_parse_numbers(args.noise, "--noise", 2)) if args.noise else None
     target_p = states.BdsSpec(*_parse_numbers(args.p, "--p", 4)).probabilities
     if args.points < 1:
         raise BellDiagError("--points must be >= 1")
 
-    heads, measured, targets = [], [], []
-    for i in range(args.points):
-        w = i / (args.points - 1) if args.points > 1 else 0.0
-        spec = states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p))
-        target = states.bds_from_spec(spec)
-        state = circuit_mod.prepared_state(spec)
-        if channel is not None:
-            state = noise.apply_channel(channel, state, qubit=0)
-        result = tomography.tomograph(state, args.shots, args.seed * 100003 + i)
-        heads.append([w, states.fidelity(result.state, target)])
-        if args.no_project:
-            measured.append(states.DensityMatrix(result.raw_matrix, validate=False))
-        else:
-            measured.append(result.state)
-        targets.append(target)
+    weights = [i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
+    specs = [states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p)) for w in weights]
+    targets = [states.bds_from_spec(spec) for spec in specs]
+    prepared = circuit_mod._prepared_states(specs)
+    if channel is not None:
+        prepared = noise._channel_applied(channel, prepared, qubit=0)
+    seeds = [args.seed * 100003 + i for i in range(args.points)]
+    physical, _, raw = tomography._tomographs(qmath.pauli_coefficients(prepared), args.shots, seeds)
+    fidelities = states._fidelities(physical, np.array([t.matrix for t in targets]))
+    measured = [states.DensityMatrix(m, validate=False) for m in (raw if args.no_project else physical)]
 
     reports = measures.full_reports(measured + targets)
     return [
-        ",".join(_fmt(v) for v in head + _report_row(report) + _report_row(theory))
-        for head, report, theory in zip(heads, reports, reports[args.points :])
+        ",".join(_fmt(v) for v in [w, f] + _report_row(report) + _report_row(theory))
+        for w, f, report, theory in zip(weights, fidelities, reports, reports[args.points :])
     ]
 
 

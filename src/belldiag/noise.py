@@ -59,12 +59,15 @@ def composite_damping(a: float, p: float) -> KrausChannel:
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, qubit: int = 0) -> DensityMatrix:
     """Apply a single-qubit channel to qubit 0 (a) or 1 (b) of a two-qubit state."""
     qubit = strict_index(qubit, DimensionMismatchError, "qubit", 0, 1)
-    # Row and column index split as (qubits before, qubit, qubits after).
-    split = (2**qubit, 2, 2 ** (rho.n_qubits - qubit - 1))
-    t = rho.matrix.reshape(split + split)
+    return DensityMatrix(_channel_applied(channel, rho.matrix, qubit), validate=False)
+
+
+def _channel_applied(channel: KrausChannel, m: np.ndarray, qubit: int) -> np.ndarray:
+    """``apply_channel`` on each two-qubit matrix of a stack (..., 4, 4), with the bits of its own call."""
+    split = (2**qubit, 2, 2 ** (1 - qubit))  # row and column index: (qubits before, qubit, qubits after)
+    t = m.reshape(m.shape[:-2] + split + split)
     ops = np.array(channel.operators)
-    out = np.einsum("kai,xiyzjw,kbj->xayzbw", ops, t, ops.conj())
-    return DensityMatrix(out.reshape(rho.matrix.shape), validate=False)
+    return np.einsum("kai,...xiyzjw,kbj->...xayzbw", ops, t, ops.conj()).reshape(m.shape)
 
 
 def decohered_werner_sweep(

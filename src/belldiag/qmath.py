@@ -50,16 +50,16 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each of a stack ``(..., d, d)``.
 
     Eigenvalues in ``[STATE_MIN_EIGENVALUE, 0)`` are treated as round-off and
     clipped to zero; anything lower raises ``NegativeSpectrumError``.
     """
     w, v = np.linalg.eigh(m)
-    if w[0] < STATE_MIN_EIGENVALUE:
-        raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
+    if (low := w[..., 0].min()) < STATE_MIN_EIGENVALUE:
+        raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {low:.3e}")
     s = np.sqrt(np.clip(w, 0.0, None))
-    return (v * s) @ v.conj().T
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def partial_trace(
@@ -85,17 +85,17 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
 
     ``c[0, 0]`` is the trace, ``c[1:, 0]`` and ``c[0, 1:]`` are the Bloch
     vectors of qubits a and b, and ``c[1:, 1:]`` is the correlation matrix.
-    Only the real part is kept, which is exact for Hermitian ``m``.
+    Only the real part is kept, which is exact for Hermitian ``m``; a stack (..., 4, 4) gives a stack.
     """
-    return np.einsum("jkab,ba->jk", PAULI_PRODUCTS, m).real
+    return np.einsum("jkab,...ba->...jk", PAULI_PRODUCTS, m).real
 
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     """Two-qubit operator ``(1/4) sum_jk c_jk sigma_j x sigma_k``.
 
-    The inverse of ``pauli_coefficients``.
+    The inverse of ``pauli_coefficients``, also on a stack ``(..., 4, 4)``.
     """
-    return np.einsum("jk,jkab->ab", c, PAULI_PRODUCTS) / 4.0
+    return np.einsum("...jk,jkab->...ab", c, PAULI_PRODUCTS) / 4.0
 
 
 def entropy_bits(probabilities: np.ndarray) -> np.ndarray:

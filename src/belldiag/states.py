@@ -201,11 +201,15 @@ def werner(w: float) -> DensityMatrix:
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))``, clamped to [0, 1]."""
-    root = qmath.matrix_sqrt_psd(rho.matrix)
-    inner = root @ sigma.matrix @ root
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    return min(1.0, max(0.0, f))
+    return float(_fidelities(rho.matrix, sigma.matrix))
+
+
+def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``fidelity`` of each pair of matrices of two stacks ``(..., 4, 4)``, with the bits of its own call."""
+    root = qmath.matrix_sqrt_psd(rho)
+    inner = root @ sigma @ root
+    w = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    return np.minimum(np.maximum(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1), 0.0), 1.0)
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:

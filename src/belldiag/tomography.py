@@ -91,11 +91,11 @@ class ReconstructionResult:
 
 
 def _born_table(c: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of all settings, shape (3, 3, 4), in ``SETTINGS`` order.
+    """Outcome probabilities of all settings, shape (..., 3, 3, 4), in ``SETTINGS`` order.
 
     ``p(s_a, s_b) = (1 + s_a c_j0 + s_b c_0k + s_a s_b c_jk) / 4`` for (sigma_j, sigma_k).
     """
-    a, b, t = c[1:, 0, None, None], c[0, 1:, None], c[1:, 1:, None]
+    a, b, t = c[..., 1:, 0, None, None], c[..., None, 0, 1:, None], c[..., 1:, 1:, None]
     return np.clip((1 + a * _SIGNS_A + b * _SIGNS_B + t * (_SIGNS_A * _SIGNS_B)) / 4, 0.0, None)
 
 
@@ -105,44 +105,60 @@ def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.nd
 
 
 def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts:
-    """Multinomial outcome counts for all nine settings.
-
-    Each setting draws from its own counter-based generator keyed by
-    (seed, setting index), so results are reproducible and independent of
-    evaluation order.
-    """
+    """Multinomial outcome counts for all nine settings: ``_sampled_counts`` on a stack of one."""
     shots = strict_index(shots, OutOfRangeError, "shots", 1, MAX_SHOTS)
-    seed = strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF
-    table = _born_table(rho.pauli)
-    counts = {}
-    for idx, (setting, probs) in enumerate(zip(SETTINGS, table.reshape(9, 4))):
-        probs = probs / probs.sum()
-        key = np.random.SeedSequence([seed, idx])
-        rng = np.random.Generator(np.random.Philox(key))
-        counts[setting] = rng.multinomial(shots, probs)
-    return TomographyCounts(shots_per_setting=shots, counts=counts)
+    counts = _sampled_counts(rho.pauli[None], shots, [seed])[0]
+    return TomographyCounts(shots_per_setting=shots, counts=dict(zip(SETTINGS, counts)))
+
+
+def _sampled_counts(c: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Counts (N, 9, 4) of a stack of Pauli tables (N, 4, 4), row i drawn with ``seeds[i]``.
+
+    Each setting draws from its own counter-based generator keyed by (seed, setting index), so
+    results are reproducible and independent of evaluation order and of the row's place in the stack.
+    """
+    seeds = [strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF for seed in seeds]
+    table = _born_table(c).reshape(-1, 9, 4)
+    table = table / table.sum(axis=-1, keepdims=True)
+    counts = np.array([
+        [np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx]))).multinomial(shots, probs)
+         for idx, probs in enumerate(row)]
+        for seed, row in zip(seeds, table)
+    ])
+    if not ((counts >= 0).all() and (counts.sum(axis=-1) == shots).all()):  # TomographyCounts' checks, once
+        raise OutOfRangeError(f"sampled counts must be non-negative and sum to {shots} in every setting")
+    return counts
 
 
 def estimate_correlations(counts: TomographyCounts) -> np.ndarray:
     """Estimated Pauli coefficients ``c``, laid out as ``DensityMatrix.pauli``, from measured counts."""
-    # n[j - 1, k - 1] holds the outcome counts of setting (sigma_j, sigma_k). Signed
+    return _estimated(np.array([counts.counts[s] for s in SETTINGS], dtype=float), counts.shots_per_setting)
+
+
+def _estimated(n: np.ndarray, shots: int) -> np.ndarray:
+    """``estimate_correlations`` of counts of shape (..., 9, 4), as Pauli tables of shape (..., 4, 4)."""
+    # n[..., j - 1, k - 1, :] holds the outcome counts of setting (sigma_j, sigma_k). Signed
     # sums of counts are exact integers, so each estimate is rounded once, at the division.
-    n = np.array([counts.counts[s] for s in SETTINGS], dtype=float).reshape(3, 3, 4)
-    shots = counts.shots_per_setting
-    c = np.zeros((4, 4), dtype=float)
-    c[0, 0] = 1.0
-    c[1:, 1:] = (n @ (_SIGNS_A * _SIGNS_B)) / shots
+    n = np.asarray(n, dtype=float).reshape(n.shape[:-2] + (3, 3, 4))
+    c = np.zeros(n.shape[:-3] + (4, 4), dtype=float)
+    c[..., 0, 0] = 1.0
+    c[..., 1:, 1:] = (n @ (_SIGNS_A * _SIGNS_B)) / shots
     # Each single-qubit average is measured by three compatible settings;
     # use their mean to reduce variance.
-    c[1:, 0] = np.sum(n @ _SIGNS_A, axis=1) / (3 * shots)
-    c[0, 1:] = np.sum(n @ _SIGNS_B, axis=0) / (3 * shots)
+    c[..., 1:, 0] = np.sum(n @ _SIGNS_A, axis=-1) / (3 * shots)
+    c[..., 0, 1:] = np.sum(n @ _SIGNS_B, axis=-2) / (3 * shots)
     return np.clip(c, -1.0, 1.0)
 
 
 def exact_correlations(rho: DensityMatrix) -> np.ndarray:
     """Infinite-shot estimate: the state's Pauli coefficients ``rho.pauli``, clipped, with c[0][0] = 1."""
-    c = np.clip(rho.pauli, -1.0, 1.0)
-    c[0, 0] = 1.0
+    return _exact(rho.pauli)
+
+
+def _exact(c: np.ndarray) -> np.ndarray:
+    """``exact_correlations`` of Pauli tables of shape (..., 4, 4)."""
+    c = np.clip(c, -1.0, 1.0)
+    c[..., 0, 0] = 1.0
     return c
 
 
@@ -154,19 +170,25 @@ def reconstruct(c: np.ndarray) -> ReconstructionResult:
     trace; the unmodified linear-inversion matrix is kept for inspection.
     """
     c = strict_array(c, float, (4, 4), DimensionMismatchError, "a correlation matrix")
-    if c[0, 0] != 1.0:
-        raise OutOfRangeError(f"c[0][0] must be exactly 1, got {c[0, 0]!r}")
+    physical, projected, raw = _reconstructed(c[None])
+    return ReconstructionResult(DensityMatrix(physical[0], validate=False), bool(projected[0]), raw[0])
+
+
+def _reconstructed(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``reconstruct`` of a stack of tables (N, 4, 4), checked as one: physical, projected and raw stacks."""
+    if not (c[:, 0, 0] == 1.0).all():
+        raise OutOfRangeError(f"c[0][0] must be exactly 1, got {c[c[:, 0, 0] != 1.0][0, 0, 0]!r}")
     # Written as "not within" so that NaN, which fails every comparison, is rejected.
-    if not np.all(np.abs(c) <= 1.0 + 1e-12):
+    if not (np.abs(c) <= 1.0 + 1e-12).all():
         raise OutOfRangeError("correlation entries must be finite and lie in [-1, 1]")
     raw = qmath.from_pauli_coefficients(c)
     w, v = np.linalg.eigh(raw)
-    projected = bool(w[0] < qmath.STATE_MIN_EIGENVALUE)
-    physical = raw
-    if projected:
-        w = np.clip(w, 0.0, None)
-        physical = (v * (w / np.sum(w))) @ v.conj().T
-    return ReconstructionResult(DensityMatrix(physical, validate=False), projected, raw)
+    projected = w[:, 0] < qmath.STATE_MIN_EIGENVALUE
+    physical = raw.copy()
+    if projected.any():
+        w, v = np.clip(w[projected], 0.0, None), v[projected]
+        physical[projected] = (v * (w / np.sum(w, axis=-1, keepdims=True))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return physical, projected, raw
 
 
 def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionResult:
@@ -177,10 +199,14 @@ def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionRe
     trip is exact up to round-off. Returns the whole ``ReconstructionResult``:
     the physical ``state``, whether it was ``projected`` and the ``raw_matrix``.
     """
+    physical, projected, raw = _tomographs(rho.pauli[None], shots, [seed])
+    return ReconstructionResult(DensityMatrix(physical[0], validate=False), bool(projected[0]), raw[0])
+
+
+def _tomographs(c: np.ndarray, shots: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tomograph`` of a stack of Pauli tables (N, 4, 4), row i sampled with ``seeds[i]``; see ``_reconstructed``."""
     shots = strict_index(shots, OutOfRangeError, "shots", 0, MAX_SHOTS)
-    if shots == 0:
-        return reconstruct(exact_correlations(rho))
-    return reconstruct(estimate_correlations(sample_counts(rho, shots, seed)))
+    return _reconstructed(_estimated(_sampled_counts(c, shots, seeds), shots) if shots else _exact(c))
 
 
 def counts_to_json(counts: TomographyCounts) -> str:

@@ -15,6 +15,7 @@ from belldiag.circuit import (
     Circuit,
     Gate,
     _format_angle,
+    _prepared_states,
     purification_circuit,
     to_qasm,
 )
@@ -258,7 +259,33 @@ def boundary_specs(draw) -> bd.BdsSpec:
     return bd.BdsSpec(*(w / sum(weights) for w in weights))
 
 
+@st.composite
+def simplex_specs(draw) -> bd.BdsSpec:
+    """Specs anywhere on the simplex: interior, with zeroed entries, with an empty row j, or product-form."""
+    if draw(st.booleans()):
+        return product_spec(draw(st.floats(0, np.pi)), draw(st.floats(0, np.pi)))
+    weights = draw(st.lists(st.floats(1e-3, 1.0) | st.just(0.0), min_size=4, max_size=4))
+    empty = draw(st.sampled_from([None, 0, 1]))
+    if empty is not None:
+        weights[2 * empty : 2 * empty + 2] = [0.0, 0.0]
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, 3))] = 1.0
+    return bd.BdsSpec(*(w / sum(weights) for w in weights))
+
+
 class TestPreparedState:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(specs=st.lists(simplex_specs(), min_size=1, max_size=12))
+    def test_stacked_preparation_is_each_specs_own(self, specs):
+        # Rows of both gate sequences, nine gates and the collapsed six, share one stack.
+        stacked = _prepared_states(specs)
+        assert stacked.shape == (len(specs), 4, 4)
+        for spec, got in zip(specs, stacked):
+            assert got.tobytes() == bd.prepared_state(spec).matrix.tobytes()
+            psi = bd.simulate_statevector(purification_circuit(spec))
+            reference = qmath.partial_trace(np.outer(psi, psi.conj()), [2] * 4, keep=(2, 3))
+            assert np.max(np.abs(got - reference)) <= 1e-15
+
     def test_pure_and_mixed_anchors(self):
         for spec, want in [
             (bd.BdsSpec(1, 0, 0, 0), bd.bell_state(0, 0).matrix),
@@ -407,9 +434,12 @@ class TestQasm:
         circ = purification_circuit(bd.BdsSpec(0.42, 0.18, 0.28, 0.12))
         text = to_qasm(circ, layout={"a": 0, "b": 1, "c": 2, "d": 3})
         assert "qreg q[4];" in text
-        with pytest.raises(InvalidLayoutError):
+        # Refusals name the qubits as the register names them, not by logical index.
+        with pytest.raises(InvalidLayoutError, match=r"^qubits 'a' and 'b' both on physical 0$"):
             to_qasm(circ, layout={"a": 0, "b": 0, "c": 2, "d": 3})
-        with pytest.raises(InvalidLayoutError):
+        with pytest.raises(InvalidLayoutError, match=r"^qubits 'b' and 'd' both on physical 7$"):
+            to_qasm(circ, layout={3: 7, "c": 2, "b": 7, "a": 1})
+        with pytest.raises(InvalidLayoutError, match=r"^layout is missing qubits \['b', 'c', 'd'\]$"):
             to_qasm(circ, layout={"a": 0})
         with pytest.raises(InvalidLayoutError):
             to_qasm(circ, layout={"z": 0, "b": 1, "c": 2, "d": 3})

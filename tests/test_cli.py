@@ -325,6 +325,15 @@ class TestErrorPath:
                 ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:65536"),
                 "a physical qubit must be in [0, 65535], got 65536\n",
             ),
+            # Layout refusals name the qubits as the user wrote them, not their logical indices.
+            (
+                ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2"),
+                "layout is missing qubits ['d']\n",
+            ),
+            (
+                ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:1,c:2,d:3"),
+                "qubits 'a' and 'b' both on physical 1\n",
+            ),
         ],
         ids=[
             "sweep-short-probs",
@@ -333,6 +342,8 @@ class TestErrorPath:
             "negative-shots",
             "no-points",
             "layout-at-65536",
+            "layout-missing-qubit",
+            "layout-shared-physical",
         ],
     )
     def test_bad_flag_message(self, capsys, argv, message):
@@ -560,6 +571,20 @@ class TestOutputBytes:
             (
                 "sweep --points 3 --shots 64 --no-project",
                 "6870ade8b5cc6cb5d400d071f4686f94104fa33222090cb6466d507baad145e8",
+            ),
+            # Sampled sweeps toward a --p spec: collapsed six-gate rows and an empty row j=1,
+            # an empty row j=0, and --p with damping.
+            (
+                "sweep --points 41 --shots 100 --seed 9 --p 0.5,0.5,0,0",
+                "875e95df706b3ce211a11e8beeae0a7b553ac9c3e05501dee2b5c6ddcbe879e2",
+            ),
+            (
+                "sweep --points 41 --shots 1000 --seed 2 --p 0,0,0.3,0.7",
+                "e57b74a628109c87654b66714f84ec7e088cf4c6febb6185163e4491537bdb0c",
+            ),
+            (
+                "sweep --points 51 --shots 256 --seed 5 --p 0.1,0.2,0.3,0.4 --noise 0.2,0.5",
+                "961933217fa7029375f14c8ea3ec0f850a0ee51380398dd4045fba8fb580c811",
             ),
             (
                 "prepare --werner 0.5 --qasm",

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import ginibre_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belldiag as bd
-from belldiag import qmath
+from belldiag import qmath, states, tomography
 from belldiag.exceptions import DimensionMismatchError, OutOfRangeError
 from belldiag.tomography import (
     SETTINGS,
@@ -98,6 +100,71 @@ class TestSampleCounts:
         shots = np.iinfo(np.int64).max
         counts = bd.sample_counts(bd.werner(0.5), shots=np.int64(shots), seed=1)
         assert counts.shots_per_setting == shots
+
+
+class TestStackedKernels:
+    """Each row of a stacked kernel has the bits of the per-state call on that row alone."""
+
+    # T = I is unphysical (its singlet eigenvalue is -1/2), so every stack has a projected row.
+    UNPHYSICAL = np.eye(4)
+
+    @staticmethod
+    def states(seed, size):
+        rng = np.random.default_rng(seed)
+        return [ginibre_state(rng, rank=int(rng.integers(1, 5))) for _ in range(size)]
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        state_seed=st.integers(0, 2**32 - 1),
+        shots=st.sampled_from([1, 8192, 2**63 - 1]),
+        seeds=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6),
+    )
+    def test_sampler_rows_are_sample_counts(self, state_seed, shots, seeds):
+        # A negative seed and one of at least 2**64 reach the generator through the 64-bit mask.
+        seeds = seeds + [-1, 2**64 + 3]
+        rhos = self.states(state_seed, len(seeds))
+        counts = tomography._sampled_counts(np.array([rho.pauli for rho in rhos]), shots, seeds)
+        assert counts.shape == (len(seeds), 9, 4)
+        for rho, seed, row in zip(rhos, seeds, counts):
+            expected = bd.sample_counts(rho, shots, seed).counts
+            assert row.tolist() == [list(expected[s]) for s in SETTINGS]
+
+    def test_sampler_keeps_the_counts_checks(self, monkeypatch):
+        # The record's checks run once on the stack: counts that miss the shot count are refused.
+        class Miscounting(np.random.Generator):
+            def multinomial(self, n, pvals):
+                return super().multinomial(n, pvals) + np.array([1, 0, 0, 0])
+
+        monkeypatch.setattr(np.random, "Generator", Miscounting)
+        with pytest.raises(OutOfRangeError, match="non-negative and sum to 8"):
+            tomography._sampled_counts(np.array([bd.bell_state(0, 0).pauli]), 8, [1])
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(state_seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([16, 64, 256]), size=st.integers(1, 8))
+    def test_reconstruct_and_fidelity_rows_are_per_state_calls(self, state_seed, shots, size):
+        rhos = self.states(state_seed, size)
+        counts = tomography._sampled_counts(np.array([rho.pauli for rho in rhos]), shots, range(size))
+        c = np.concatenate([tomography._estimated(counts, shots), [self.UNPHYSICAL]])
+        physical, projected, raw = tomography._reconstructed(c)
+        assert projected[-1]
+        targets = np.array([rho.matrix for rho in rhos] + [bd.werner(0.5).matrix])
+        fidelities = states._fidelities(physical, targets)
+        for i, row in enumerate(c):
+            expected = bd.reconstruct(row)
+            assert bool(projected[i]) is expected.projected
+            assert physical[i].tobytes() == expected.state.matrix.tobytes()
+            assert raw[i].tobytes() == expected.raw_matrix.tobytes()
+            fidelity = bd.fidelity(expected.state, bd.DensityMatrix(targets[i], validate=False))
+            assert fidelities[i].tobytes() == np.float64(fidelity).tobytes()
+
+    def test_stacked_checks_name_the_first_bad_table(self):
+        bad = np.stack([np.eye(4), np.diag([0.5, 0, 0, 0]), np.diag([2.0, 0, 0, 0])])
+        with pytest.raises(OutOfRangeError, match=r"c\[0\]\[0\] must be exactly 1, got np.float64\(0.5\)"):
+            tomography._reconstructed(bad)
+        bad[1:, 0, 0] = 1.0
+        bad[2, 1, 2] = np.nan
+        with pytest.raises(OutOfRangeError, match="finite and lie in"):
+            tomography._reconstructed(bad)
 
 
 class TestTomographyCounts:
