@@ -8,8 +8,6 @@ which includes every product-form spec, that pair collapses to one rotation
 and the circuit has six gates.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

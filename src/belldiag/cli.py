@@ -4,8 +4,6 @@ Exit codes: 0 success, 2 invalid input or a LAPACK failure, 3 I/O failure.
 Input files are read as bytes, so one that is not UTF-8 is malformed input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -30,15 +30,13 @@ Newton points; the search keeps the best value it evaluated.
 
 The objective and the stencil loop run on a stack of states; a mask sends each
 state to the closed form or to the stencil. ``full_reports`` searches discord
-on stacks of up to ``REPORT_CHUNK`` states, and ``discord_oz`` and
-``full_report`` are the stack of one, so every state takes the same formula.
+on stacks of up to ``REPORT_CHUNK`` states, and ``full_report`` takes it from
+``discord_oz``, the stack of one, so every state takes the same formula.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -210,28 +208,29 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     Mutual information minus the best measured mutual information, searched
     as the module docstring says: 9 objective calls on the general path, or 1
     without ``refine`` (the first round; refining never raises discord), and 1
-    on the closed form. This is the stack of one state ``full_reports`` searches.
+    on the closed form. This is the stack of one, and ``full_report``'s discord.
     """
     return _discords([rho], refine)[0]
+
+
+def _report(rho: DensityMatrix, discord: float) -> ResourceReport:
+    return ResourceReport(
+        coherence_l1=coherence_l1(rho),
+        nonlocal_coherence=nonlocal_coherence(rho),
+        discord=discord,
+        negativity=negativity(rho),
+        steering=steering(rho),
+        nonlocality=nonlocality(rho),
+    )
 
 
 def full_reports(states: Sequence[DensityMatrix]) -> list[ResourceReport]:
     """``full_report`` of each state; discord is searched on stacks of up to ``REPORT_CHUNK`` states."""
     states = list(states)
     discords = [d for i in range(0, len(states), REPORT_CHUNK) for d in _discords(states[i : i + REPORT_CHUNK])]
-    return [
-        ResourceReport(
-            coherence_l1=coherence_l1(rho),
-            nonlocal_coherence=nonlocal_coherence(rho),
-            discord=discord,
-            negativity=negativity(rho),
-            steering=steering(rho),
-            nonlocality=nonlocality(rho),
-        )
-        for rho, discord in zip(states, discords)
-    ]
+    return [_report(rho, discord) for rho, discord in zip(states, discords)]
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:
-    """All measures of a two-qubit state in one record."""
-    return full_reports([rho])[0]
+    """All measures of a two-qubit state in one record, its discord from ``discord_oz``."""
+    return _report(rho, discord_oz(rho))

@@ -6,10 +6,8 @@ operators satisfy the completeness relation algebraically, since
 ``p(1-a) + a + (1-p)(1-a) = 1``.
 """
 
-from __future__ import annotations
-
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -8,16 +8,14 @@ never mutated.
 This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
 coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
-``from_pauli_coefficients`` convert between the two forms. Only
-``DensityMatrix.pauli`` computes a state's ``c``; the measures read it there.
+``from_pauli_coefficients`` convert. ``DensityMatrix.pauli`` computes a state's
+``c`` for the measures, and ``cli._sweep_rows`` the sweep's stacked table.
 
 ``STATE_MIN_EIGENVALUE`` is the one physical-spectrum floor, read by
 ``DensityMatrix``, ``tomography.reconstruct`` and ``matrix_sqrt_psd``.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 

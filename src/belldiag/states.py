@@ -8,8 +8,6 @@ Conventions used everywhere in the package:
   ``|b_jk> = (|0>|k> + (-1)^j |1>|k xor 1>) / sqrt(2)``.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import numbers

@@ -9,8 +9,6 @@ inversion checks it, reconstructs ``rho = (1/4) sum_jk c_jk sigma_j x sigma_k``
 and projects onto the physical set below ``qmath.STATE_MIN_EIGENVALUE``.
 """
 
-from __future__ import annotations
-
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass

@@ -398,15 +398,23 @@ class TestFullReports:
     def test_stack_matches_one_state_at_a_time(self, rng):
         # Interleaved, so that every chunk holds states of both sides of the mask: marginals
         # below ROUNDOFF_CLAMP and Werner states take the closed form, the others the stencil.
-        stack = []
+        # The sweep's own states ride along: Werner states damped on qubit a at the paper's rates,
+        # and sampled reconstructions, physical and raw (held unvalidated), projected or not.
+        channels = (bd.composite_damping(0.3, 0.3), bd.composite_damping(0.25, 0.25))
+        stack, projected = [], set()
         for i in range(24):
             stack += [
                 ginibre_state(rng, rank=1 + i % 4),
                 bd.werner(i / 23),
                 with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP / 2),
                 with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP * 2),
+                *(bd.apply_channel(channel, bd.werner(i / 23), qubit=0) for channel in channels),
             ]
-        assert len(stack) > measures.REPORT_CHUNK
+            for shots in (64, 8192):
+                result = bd.tomograph(bd.werner(i / 23), shots, seed=i)
+                projected.add(result.projected)
+                stack += [result.state, bd.DensityMatrix(result.raw_matrix, validate=False)]
+        assert len(stack) > measures.REPORT_CHUNK and projected == {False, True}
 
         def bits(reports):
             return [[value.hex() for value in report.as_dict().values()] for report in reports]

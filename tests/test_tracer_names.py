@@ -47,7 +47,7 @@ def test_discord_grid_stage_runs_alone():
 
 def test_only_the_known_traced_names_go_uncalled(tmp_path, capsys):
     # A traced name that the workloads stop calling reads 0 in every metric of its own.
-    # These four are known; any other name found here went uncalled through a refactor.
+    # These three are known; any other name found here went uncalled through a refactor.
     state_path, counts_path = tmp_path / "state.json", tmp_path / "counts.json"
     state_path.write_text(bd.density_matrix_to_json(ginibre_state(np.random.default_rng(3))))
     counts_path.write_text(bd.counts_to_json(bd.sample_counts(bd.werner(0.5), 8192, seed=1)))
@@ -74,10 +74,12 @@ def test_only_the_known_traced_names_go_uncalled(tmp_path, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    # full_report's discord_oz calls are the grid stage's recorded inputs.
+    tracer.time_discord_grid()
+    assert tracer.grid_seconds
     called = {span[0] for span in tracer.spans}
     uncalled = {f"{layer}.{name}" for layer, names in load_tracer().TRACED.items() for name in names} - called
     assert uncalled == {
-        "measures.discord_oz",
         "measures.mutual_information",
         "qmath.partial_trace",
         "tomography.born_probabilities",
