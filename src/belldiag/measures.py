@@ -1,8 +1,8 @@
 """Quantumness measures: coherence, discord, negativity, steering, nonlocality.
 
-The measures read the Pauli coefficients ``c`` from ``rho.pauli``, computed
-once per state. ``bloch_decompose`` returns its blocks: the Bloch vectors a, b
-and the correlation matrix T. Steering reads the norm of T's singular values,
+The measures read the matrix and its Pauli coefficients ``c``.
+``bloch_decompose`` returns the blocks of ``c``: the Bloch vectors a, b and the
+correlation matrix T. Steering reads the norm of T's singular values,
 which is T's Frobenius norm also when T is not symmetric (Costa and Angelo,
 PRA 93, 020103 (2016)); nonlocality reads the singular values. Discord is
 D = I - J (Ollivier and Zurek, PRL 88, 017901 (2001)), with J the measured
@@ -28,10 +28,16 @@ quadratic fitted to each chart's 25 values (Absil, Mahony and Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008). A last call evaluates the
 Newton points; the search keeps the best value it evaluated.
 
-The objective and the stencil loop run on a stack of states; a mask sends each
-state to the closed form or to the stencil. ``full_reports`` searches discord
-on stacks of up to ``REPORT_CHUNK`` states, and ``full_report`` takes it from
-``discord_oz``, the stack of one, so every state takes the same formula.
+Every measure is a kernel on a stack of states, and each public measure is its
+kernel on a stack of one. ``full_reports`` computes all six fields of up to
+``REPORT_CHUNK`` states in one pass: one Pauli table, one ``eigvalsh`` of the
+states and one of their partial transposes, one SVD; a mask sends each state's
+discord to the closed form or to the stencil. ``full_report`` calls the public
+measures, which read the state's kept ``rho.pauli`` and ``rho.spectrum``, so
+each measure keeps its own caller and timing. The objective puts its sign and
+vector-component axes first, so its elementwise loops run over all N K axes;
+numpy adds a trailing axis of 2 to 4 terms left to right, as a sum over a
+leading axis does, so every value has the bits of the per-state formula.
 """
 
 import math
@@ -69,6 +75,7 @@ _OFFSETS = _STENCIL @ _CHARTS[:, 1:]
 _FIT = np.array([*(_STENCIL.T / 50), *((_STENCIL.T**2 - 2) / 35), _STENCIL.prod(axis=1) / 100])
 # Outcome signs of a measurement on qubit b.
 _SIGNS = np.array([1.0, -1.0])
+_OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,19 @@ class ResourceReport:
         return asdict(self)
 
 
+def _coherences(m: np.ndarray) -> np.ndarray:
+    return (np.abs(m) * _OFF_DIAGONAL).sum((-2, -1))
+
+
 def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of moduli of off-diagonal entries in the computational basis."""
-    off = np.abs(rho.matrix)
-    np.fill_diagonal(off, 0.0)
-    return float(np.sum(off))
+    return float(_coherences(rho.matrix[None])[0])
+
+
+def _nonlocal_coherences(coherences: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # math.hypot per state: a batched np.hypot differs from it in the last bit.
+    a, b = c[:, 1:3, 0].tolist(), c[:, 0, 1:3].tolist()
+    return np.array([x - math.hypot(*u) - math.hypot(*v) for x, u, v in zip(coherences.tolist(), a, b)])
 
 
 def nonlocal_coherence(rho: DensityMatrix) -> float:
@@ -99,8 +114,7 @@ def nonlocal_coherence(rho: DensityMatrix) -> float:
     A qubit with Bloch vector r has l1 coherence ``|r_x - i r_y|``, so the
     marginal coherences are read off the Pauli coefficients.
     """
-    c = rho.pauli
-    return coherence_l1(rho) - math.hypot(c[1, 0], c[2, 0]) - math.hypot(c[0, 1], c[0, 2])
+    return float(_nonlocal_coherences(_coherences(rho.matrix[None]), rho.pauli[None])[0])
 
 
 def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,29 +123,38 @@ def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndar
     return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
+def _negativities(m: np.ndarray) -> np.ndarray:
+    excess = qmath.trace_norm(m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)) - 1.0
+    return np.where(excess >= ROUNDOFF_CLAMP, excess, 0.0)
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Trace norm of the partial transpose on qubit b minus one.
 
     A value below ``ROUNDOFF_CLAMP``, round-off on a separable state, reads 0.
     """
-    pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    excess = qmath.trace_norm(pt) - 1.0
-    return excess if excess >= ROUNDOFF_CLAMP else 0.0
+    return float(_negativities(rho.matrix[None])[0])
+
+
+def _steerings(t: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, (np.sqrt((t * t).sum((-2, -1))) - 1.0) / (SQRT3 - 1.0))
 
 
 def steering(rho: DensityMatrix) -> float:
     """Steering degree for three measurements per qubit: the norm of T's singular values, ``sqrt(sum T_ij^2)``."""
-    t = bloch_decompose(rho)[2]
-    return max(0.0, (math.sqrt(float((t * t).sum())) - 1.0) / (SQRT3 - 1.0))
+    return float(_steerings(bloch_decompose(rho)[2][None])[0])
+
+
+def _nonlocalities(t: np.ndarray) -> np.ndarray:
+    # Singular values, not |eigenvalues|: T can be non-symmetric. np.dot per state: a batched sum changes bits.
+    s = np.linalg.svd(t, compute_uv=False)
+    norm_sq = np.array([np.dot(x, x) for x in s])
+    return np.maximum(0.0, (np.sqrt(np.maximum(0.0, norm_sq - s.min(-1) ** 2)) - 1.0) / (SQRT2 - 1.0))
 
 
 def nonlocality(rho: DensityMatrix) -> float:
     """Bell-inequality violation degree for two measurements per qubit."""
-    # Singular values, not absolute eigenvalues: tomography can return a non-symmetric T.
-    c = np.linalg.svd(bloch_decompose(rho)[2], compute_uv=False)
-    c_min_sq = float(np.min(c) ** 2)
-    norm_sq = float(np.dot(c, c))
-    return max(0.0, (math.sqrt(max(0.0, norm_sq - c_min_sq)) - 1.0) / (SQRT2 - 1.0))
+    return float(_nonlocalities(bloch_decompose(rho)[2][None])[0])
 
 
 def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
@@ -154,11 +177,13 @@ def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     ``r = |a +- T n|``, the outcome probabilities are ``p/2`` and the
     post-measurement spectrum is ``(p +- r)/4``.
     """
-    p = 1 + (n @ c[:, 0, 1:, None]) * _SIGNS
-    tn = n @ c[:, 1:, 1:].transpose(0, 2, 1)
-    m = c[:, None, None, 1:, 0] + tn[..., None, :] * _SIGNS[:, None]
-    r = np.sqrt((m * m).sum(-1))
-    return qmath.entropy_bits(p / 2) - qmath.entropy_bits(np.concatenate([p + r, p - r], axis=-1) / 4)
+    p = 1 + _SIGNS[:, None, None] * (n @ c[:, 0, 1:, None])[..., 0]
+    tn = (n @ c[:, 1:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
+    m = c[:, 1:, 0].T[:, None, :, None] + tn[:, None] * _SIGNS[:, None, None]
+    r = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+    # x log2 x of the outcome probabilities, then of the post-measurement spectrum, in one pass.
+    t = qmath._xlog2x(np.concatenate([p / 2, (p + r) / 4, (p - r) / 4]))
+    return t[2:].sum(0) - t[:2].sum(0)
 
 
 def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
@@ -171,7 +196,8 @@ def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
     found = []
     for i in range(rounds + refine):  # with refine, a last call on the points the rounds reached
         n = centres + offsets * steps if i < rounds else centres
-        trial = _measured_mi(c, (n / np.sqrt((n * n).sum(-1, keepdims=True))).reshape(len(c), -1, 3))
+        sq = n * n  # summed component by component: numpy's loop over a trailing axis of 3 is slow
+        trial = _measured_mi(c, (n / np.sqrt(sq[..., :1] + sq[..., 1:2] + sq[..., 2:])).reshape(len(c), -1, 3))
         found.append(trial)
         values = trial.reshape(len(cells), -1)
         best = n[cells, values.argmax(axis=1, keepdims=True)]
@@ -189,17 +215,15 @@ def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
     return np.concatenate(found, axis=1).max(axis=1)
 
 
-def _discords(states: list[DensityMatrix], refine: bool = True) -> list[float]:
-    """``discord_oz`` of each state: ``S(rho_b) - S(rho)`` less the best objective value, searched on the stack."""
-    c = np.stack([rho.pauli for rho in states])
+def _discords(c: np.ndarray, spectra: np.ndarray, refine: bool = True) -> np.ndarray:
+    """``discord_oz`` of states with Pauli tables ``c`` (N, 4, 4) and ``spectra`` (N, 4), searched on the stack."""
     best = np.empty(len(c))
     luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
     if luo.any():
         best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
     if not luo.all():
         best[~luo] = _stencil_search(c[~luo], refine)
-    joint = qmath.entropy_bits(np.stack([rho.spectrum for rho in states]))
-    return np.maximum(_qubit_entropy(c[:, 0, 1:]) - joint - best, 0.0).tolist()
+    return np.maximum(_qubit_entropy(c[:, 0, 1:]) - qmath.entropy_bits(spectra) - best, 0.0)
 
 
 def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
@@ -210,27 +234,26 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     without ``refine`` (the first round; refining never raises discord), and 1
     on the closed form. This is the stack of one, and ``full_report``'s discord.
     """
-    return _discords([rho], refine)[0]
+    return float(_discords(rho.pauli[None], rho.spectrum[None], refine)[0])
 
 
-def _report(rho: DensityMatrix, discord: float) -> ResourceReport:
-    return ResourceReport(
-        coherence_l1=coherence_l1(rho),
-        nonlocal_coherence=nonlocal_coherence(rho),
-        discord=discord,
-        negativity=negativity(rho),
-        steering=steering(rho),
-        nonlocality=nonlocality(rho),
-    )
+def _reports(states: list[DensityMatrix]) -> list[ResourceReport]:
+    """``full_report`` of each state, every field computed on the stack."""
+    m = np.stack([rho.matrix for rho in states])
+    c = qmath.pauli_coefficients(m)
+    l1, t, discords = _coherences(m), c[:, 1:, 1:], _discords(c, np.linalg.eigvalsh(m))
+    fields = l1, _nonlocal_coherences(l1, c), discords, _negativities(m), _steerings(t), _nonlocalities(t)
+    return [ResourceReport(*row) for row in zip(*(f.tolist() for f in fields))]
 
 
 def full_reports(states: Sequence[DensityMatrix]) -> list[ResourceReport]:
-    """``full_report`` of each state; discord is searched on stacks of up to ``REPORT_CHUNK`` states."""
+    """``full_report`` of each state, measured on stacks of up to ``REPORT_CHUNK`` states."""
     states = list(states)
-    discords = [d for i in range(0, len(states), REPORT_CHUNK) for d in _discords(states[i : i + REPORT_CHUNK])]
-    return [_report(rho, discord) for rho, discord in zip(states, discords)]
+    return [r for i in range(0, len(states), REPORT_CHUNK) for r in _reports(states[i : i + REPORT_CHUNK])]
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:
-    """All measures of a two-qubit state in one record, its discord from ``discord_oz``."""
-    return _report(rho, discord_oz(rho))
+    """All measures of a two-qubit state in one record, each from its public function, a stack of one."""
+    return ResourceReport(
+        coherence_l1(rho), nonlocal_coherence(rho), discord_oz(rho), negativity(rho), steering(rho), nonlocality(rho)
+    )

@@ -9,7 +9,7 @@ This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
 coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
 ``from_pauli_coefficients`` convert. ``DensityMatrix.pauli`` computes a state's
-``c`` for the measures, and ``cli._sweep_rows`` the sweep's stacked table.
+``c``, ``cli._sweep_rows`` the sweep's stacked table, ``measures.full_reports`` a chunk's.
 
 ``STATE_MIN_EIGENVALUE`` is the one physical-spectrum floor, read by
 ``DensityMatrix``, ``tomography.reconstruct`` and ``matrix_sqrt_psd``.
@@ -42,9 +42,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+def trace_norm(m: np.ndarray) -> np.ndarray:
+    """Trace norm, the sum of absolute eigenvalues, of a Hermitian matrix or of each of a stack ``(..., d, d)``."""
+    return np.abs(np.linalg.eigvalsh(m)).sum(-1)
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -96,12 +96,14 @@ def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     return np.einsum("...jk,jkab->...ab", c, PAULI_PRODUCTS) / 4.0
 
 
-def entropy_bits(probabilities: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits over the last axis, with 0 log 0 = 0.
-
-    Applied to a spectrum it is the von Neumann entropy. Round-off negatives
-    are clipped and entries up to ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0. A
-    NaN entry gives NaN.
+def _xlog2x(probabilities: np.ndarray) -> np.ndarray:
+    """``x log2 x`` of each entry, with 0 log 0 = 0: round-off negatives clip to 0, and entries up to
+    ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0. A NaN entry gives NaN.
     """
     w = np.maximum(probabilities, 0.0, dtype=float)
-    return -(w * np.log2(w, out=np.zeros(w.shape), where=w > ENTROPY_EIGENVALUE_CUTOFF)).sum(axis=-1)
+    return w * np.log2(w, out=np.zeros(w.shape), where=w > ENTROPY_EIGENVALUE_CUTOFF)
+
+
+def entropy_bits(probabilities: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits over the last axis, ``-sum _xlog2x``; of a spectrum, the von Neumann entropy."""
+    return -_xlog2x(probabilities).sum(axis=-1)

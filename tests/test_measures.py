@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -137,15 +138,18 @@ class TestDiscord:
 
     @pytest.mark.parametrize(
         "state, objective_calls, entropy_calls",
-        [("ginibre", 9, 20), ("werner", 1, 4)],
+        [("ginibre", 9, 2), ("werner", 1, 2)],
     )
     def test_calls_per_full_report(self, rng, monkeypatch, state, objective_calls, entropy_calls):
-        # The general path: 5 halving rounds, 3 Newton rounds and one last call, each two entropies,
-        # plus two outside the search, S(rho) and S(rho_b). The closed form makes one call.
+        # The general path: 5 halving rounds, 3 Newton rounds and one last call; the closed form makes one
+        # call. Each call takes its two entropies from one _xlog2x pass. Two entropies lie outside the search,
+        # S(rho) and S(rho_b), each one _xlog2x pass too.
         objective = counting(monkeypatch, measures, "_measured_mi")
         entropy = counting(monkeypatch, qmath, "entropy_bits")
+        passes = counting(monkeypatch, qmath, "_xlog2x")
         bd.full_report(ginibre_state(rng) if state == "ginibre" else bd.werner(0.5))
         assert (len(objective), len(entropy)) == (objective_calls, entropy_calls)
+        assert len(passes) == objective_calls + entropy_calls
 
     def test_newton_fit_is_the_least_squares_solution(self):
         s = measures._STENCIL
@@ -394,6 +398,28 @@ class TestFullReport:
         assert report.nonlocality == 0.0
 
 
+def report_bits(reports):
+    return [[value.hex() for value in report.as_dict().values()] for report in reports]
+
+
+@functools.cache
+def report_pool():
+    """3 x REPORT_CHUNK states of the kinds ``test_stack_matches_one_state_at_a_time`` mixes, and their reports."""
+    rng = np.random.default_rng(35)
+    channels = (bd.composite_damping(0.3, 0.3), bd.composite_damping(0.25, 0.25))
+    kinds = (
+        lambda i: ginibre_state(rng, rank=1 + i % 4),
+        lambda i: bd.werner(i / 95),
+        lambda i: with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP / 2),
+        lambda i: with_marginals(rng, rotated_bell_diagonal(rng), ROUNDOFF_CLAMP * 2),
+        lambda i: bd.apply_channel(channels[i % 2], bd.werner(i / 95), qubit=0),
+        lambda i: bd.tomograph(bd.werner(i / 95), (64, 8192)[i % 2], seed=i).state,
+        lambda i: bd.DensityMatrix(bd.tomograph(bd.werner(i / 95), 64, seed=i).raw_matrix, validate=False),
+    )
+    pool = [kinds[i % len(kinds)](i) for i in range(3 * measures.REPORT_CHUNK)]
+    return pool, report_bits(bd.full_reports(pool))
+
+
 class TestFullReports:
     def test_stack_matches_one_state_at_a_time(self, rng):
         # Interleaved, so that every chunk holds states of both sides of the mask: marginals
@@ -415,26 +441,38 @@ class TestFullReports:
                 projected.add(result.projected)
                 stack += [result.state, bd.DensityMatrix(result.raw_matrix, validate=False)]
         assert len(stack) > measures.REPORT_CHUNK and projected == {False, True}
-
-        def bits(reports):
-            return [[value.hex() for value in report.as_dict().values()] for report in reports]
-
-        assert bits(bd.full_reports(stack)) == bits([bd.full_report(rho) for rho in stack])
+        assert report_bits(bd.full_reports(stack)) == report_bits([bd.full_report(rho) for rho in stack])
 
     def test_no_states(self):
         assert bd.full_reports([]) == []
 
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        order=st.permutations(range(3 * measures.REPORT_CHUNK)),
+        size=st.integers(1, 3 * measures.REPORT_CHUNK),
+    )
+    def test_reports_follow_the_states_through_any_chunking(self, order, size):
+        # A state's report depends on that state alone: neither its chunk mates nor its place in a chunk.
+        pool, reports = report_pool()
+        picked = order[:size]
+        assert report_bits(bd.full_reports([pool[i] for i in picked])) == [reports[i] for i in picked]
+
     def test_work_outside_the_search(self, rng, monkeypatch):
-        # Each chunk takes S(rho) and S(rho_b) once for the stack, besides the objective's two
-        # entropies a call; the mutual information is never computed.
+        # Each chunk takes S(rho) and S(rho_b) once for the stack, and the mutual information is never
+        # computed. One pass over the chunk: one Pauli table, one eigvalsh of the states and one of their
+        # partial transposes, one SVD for nonlocality; each chunk here holds Werner states, whose closed-form
+        # discord takes one more SVD. The chunk reads no state's cached table or spectrum.
         stack = [ginibre_state(rng, rank=1 + i % 4) for i in range(20)] + [bd.werner(i / 19) for i in range(20)]
         chunks = -(-len(stack) // measures.REPORT_CHUNK)
         assert chunks > 1
         mutual = counting(monkeypatch, measures, "mutual_information")
-        objective = counting(monkeypatch, measures, "_measured_mi")
         entropy = counting(monkeypatch, qmath, "entropy_bits")
+        pauli = counting(monkeypatch, qmath, "pauli_coefficients")
+        eigvalsh = counting(monkeypatch, np.linalg, "eigvalsh")
+        svd = counting(monkeypatch, np.linalg, "svd")
         bd.full_reports(stack)
-        assert (len(mutual), len(entropy) - 2 * len(objective)) == (0, 2 * chunks)
+        assert (len(mutual), len(entropy)) == (0, 2 * chunks)
+        assert (len(pauli), len(eigvalsh), len(svd)) == (chunks, 2 * chunks, 2 * chunks)
 
 
 class TestLocalChannelMonotonicity:

@@ -152,6 +152,19 @@ class TestTraceNorm:
             m = random_hermitian(rng, int(rng.integers(2, 9)))
             assert qmath.trace_norm(m) >= abs(np.trace(m).real) - 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_stack_has_each_matrix_bits(self, rng, dim):
+        # One eigvalsh for a stack; each value is the one the matrix alone gets. Partial transposes
+        # of Ginibre states, as negativity passes them, ride along in the 4x4 stack.
+        stack = np.array([random_hermitian(rng, dim) for _ in range(40)])
+        if dim == 4:
+            pt = [ginibre_state(rng).matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) for _ in range(40)]
+            stack = np.concatenate([stack, pt])
+        single = [float(qmath.trace_norm(m)).hex() for m in stack]
+        assert [x.hex() for x in qmath.trace_norm(stack).tolist()] == single
+        nested = qmath.trace_norm(stack.reshape(-1, 2, dim, dim))
+        assert nested.shape == (len(stack) // 2, 2) and [x.hex() for x in nested.ravel().tolist()] == single
+
 
 class TestMatrixSqrtPsd:
     def test_diagonal(self):
@@ -282,6 +295,25 @@ class TestVnEntropy:
             got = qmath.entropy_bits(probabilities)
             assert got.dtype == np.float64
             assert np.array_equal(got, self._masked(probabilities))
+
+    @pytest.mark.parametrize("terms", [2, 3, 4])
+    def test_terms_summed_over_a_leading_axis(self, rng, terms):
+        # The discord objective holds its terms on a leading axis and sums them there: numpy adds a
+        # trailing axis of 2 to 4 terms left to right, as it adds a leading one, so the bits agree.
+        w = rng.dirichlet(np.ones(terms), size=(3, 500)) * 10.0 ** rng.integers(-14, 1, size=(3, 500, 1))
+        w[0, :10, 0] = [0.0, -1e-17, qmath.ENTROPY_EIGENVALUE_CUTOFF, 1.0, 0.5, 0.25, 1e-300, 2e-12, 1e-12, 3e-12]
+        leading = qmath._xlog2x(np.moveaxis(w, -1, 0))
+        assert np.array_equal(-leading.sum(0), qmath.entropy_bits(w))
+        total = leading[0]
+        for term in leading[1:]:
+            total = total + term
+        assert np.array_equal(total, leading.sum(0))
+
+    def test_xlog2x_stack_has_each_row_bits(self, rng):
+        rows = rng.uniform(-0.05, 1.0, size=(6, 40, 75))
+        batched = qmath._xlog2x(rows)
+        assert all(np.array_equal(batched[i, j], qmath._xlog2x(rows[i, j])) for i, j in np.ndindex(6, 40))
+        assert np.array_equal(-batched.sum(-1), qmath.entropy_bits(rows))
 
     def test_nan_entry_gives_nan(self):
         # The masked formula counted NaN as 0; the helper lets it through, and only its own row.
