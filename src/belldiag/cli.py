@@ -6,8 +6,9 @@ Input files are read as bytes, so one that is not UTF-8 is malformed input.
 
 import argparse
 import json
+import operator
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from . import measures, noise, qmath, states, tomography
 from .exceptions import BellDiagError
 
 CSV_HEADER = "w,F,C,D,E,S,N,C_th,D_th,E_th,S_th,N_th"
+# The five measures C, D, E, S, N of a report: its fields after coherence_l1, in declared order.
+_MEASURED = operator.attrgetter(*(f.name for f in fields(measures.ResourceReport)[1:]))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -26,16 +29,6 @@ EXIT_IO = 3
 def _fmt(x: float) -> str:
     # round() first so that -1e-9 prints as 0.000000, not -0.000000
     return f"{round(float(x), 6) + 0.0:.6f}"
-
-
-def _report_row(report: measures.ResourceReport) -> list[float]:
-    return [
-        report.nonlocal_coherence,
-        report.discord,
-        report.negativity,
-        report.steering,
-        report.nonlocality,
-    ]
 
 
 def _parse_numbers(text: str, flag: str, count: int) -> list[float]:
@@ -80,8 +73,6 @@ def cmd_prepare(args) -> int:
         spec = states.BdsSpec(*_parse_numbers(args.p, "--p", 4))
     circ = circuit_mod.purification_circuit(spec)
     rho = circuit_mod.prepared_state(spec)
-    layout = _parse_layout(args.layout) if args.layout is not None else None
-    qasm = circuit_mod.to_qasm(circ, layout=layout) if args.qasm else None
     doc = {
         # The first gate is R(theta/2) on qubit a.
         "theta": 2 * circ.gates[0].params[0],
@@ -90,8 +81,9 @@ def cmd_prepare(args) -> int:
         "state": rho.as_dict(),
     }
     text = json.dumps(doc, indent=2)
-    if qasm is not None:
-        text += "\n\n" + qasm
+    if args.qasm:
+        layout = _parse_layout(args.layout) if args.layout is not None else None
+        text += "\n\n" + circuit_mod.to_qasm(circ, layout=layout)
     return _write_output(text + "\n", args.out)
 
 
@@ -105,8 +97,8 @@ def _sweep_rows(args) -> list[str]:
     with its own seed ``seed * 100003 + i``), reconstructed and scored against
     its target at once, by the stacked kernels whose stack of one are
     ``apply_channel``, ``tomograph`` and ``fidelity``; each row has the bits of
-    those per-state calls and of ``prepared_state``. One ``full_reports`` call
-    then measures every row, so discord is searched on stacks of states too.
+    those per-state calls and of ``prepared_state``. ``measures._reports`` then
+    measures the measured rows and the targets as one stack, with no record per row.
     """
     channel = noise.composite_damping(*_parse_numbers(args.noise, "--noise", 2)) if args.noise else None
     target_p = states.BdsSpec(*_parse_numbers(args.p, "--p", 4)).probabilities
@@ -115,18 +107,16 @@ def _sweep_rows(args) -> list[str]:
 
     weights = [i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
     specs = [states.BdsSpec(*((1.0 - w) * 0.25 + w * target_p)) for w in weights]
-    targets = [states.bds_from_spec(spec) for spec in specs]
+    targets = np.array([states.bds_from_spec(spec).matrix for spec in specs])
     prepared = circuit_mod._prepared_states(specs)
     if channel is not None:
         prepared = noise._channel_applied(channel, prepared, qubit=0)
     seeds = [args.seed * 100003 + i for i in range(args.points)]
     physical, _, raw = tomography._tomographs(qmath.pauli_coefficients(prepared), args.shots, seeds)
-    fidelities = states._fidelities(physical, np.array([t.matrix for t in targets]))
-    measured = [states.DensityMatrix(m, validate=False) for m in (raw if args.no_project else physical)]
-
-    reports = measures.full_reports(measured + targets)
+    fidelities = states._fidelities(physical, targets)
+    reports = measures._reports(np.concatenate([raw if args.no_project else physical, targets]))
     return [
-        ",".join(_fmt(v) for v in [w, f] + _report_row(report) + _report_row(theory))
+        ",".join(_fmt(v) for v in [w, f, *_MEASURED(report), *_MEASURED(theory)])
         for w, f, report, theory in zip(weights, fidelities, reports, reports[args.points :])
     ]
 

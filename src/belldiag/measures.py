@@ -29,10 +29,11 @@ quadratic fitted to each chart's 25 values (Absil, Mahony and Sepulchre,
 Newton points; the search keeps the best value it evaluated.
 
 Every measure is a kernel on a stack of states, and each public measure is its
-kernel on a stack of one. ``full_reports`` computes all six fields of up to
-``REPORT_CHUNK`` states in one pass: one Pauli table, one ``eigvalsh`` of the
-states and one of their partial transposes, one SVD; a mask sends each state's
-discord to the closed form or to the stencil. ``full_report`` calls the public
+kernel on a stack of one. ``_reports``, the one report kernel, walks a matrix
+stack (N, 4, 4) in ``REPORT_CHUNK`` slices, each in one pass: one Pauli table,
+one ``eigvalsh`` of the states and one of their partial transposes, one SVD; a
+mask sends each state's discord to the closed form or to the stencil. Records
+wrap only public inputs and outputs. ``full_report`` calls the public
 measures, which read the state's kept ``rho.pauli`` and ``rho.spectrum``, so
 each measure keeps its own caller and timing. The objective puts its sign and
 vector-component axes first, so its elementwise loops run over all N K axes;
@@ -61,7 +62,7 @@ ROUNDOFF_CLAMP = 1e-9
 DISCORD_FIRST_STEP = math.pi / 8
 DISCORD_HALVING_ROUNDS = 5
 DISCORD_NEWTON_ROUNDS = 3
-# States per discord search in ``full_reports``. A stack shares the per-call cost of the
+# States per chunk of ``_reports``. A stack shares the per-call cost of the
 # stencil's small array operations; chunking bounds the search's memory for any number of states.
 REPORT_CHUNK = 32
 # Chart k maps (u, v) to the axis e_k + u e_{k+1} + v e_{k+2}, indices mod 3;
@@ -237,19 +238,20 @@ def discord_oz(rho: DensityMatrix, refine: bool = True) -> float:
     return float(_discords(rho.pauli[None], rho.spectrum[None], refine)[0])
 
 
-def _reports(states: list[DensityMatrix]) -> list[ResourceReport]:
-    """``full_report`` of each state, every field computed on the stack."""
-    m = np.stack([rho.matrix for rho in states])
-    c = qmath.pauli_coefficients(m)
-    l1, t, discords = _coherences(m), c[:, 1:, 1:], _discords(c, np.linalg.eigvalsh(m))
-    fields = l1, _nonlocal_coherences(l1, c), discords, _negativities(m), _steerings(t), _nonlocalities(t)
-    return [ResourceReport(*row) for row in zip(*(f.tolist() for f in fields))]
+def _reports(matrices: np.ndarray) -> list[ResourceReport]:
+    """``full_report`` of each matrix of a stack (N, 4, 4), all fields computed on chunks of up to ``REPORT_CHUNK``."""
+    reports = []
+    for m in (matrices[i : i + REPORT_CHUNK] for i in range(0, len(matrices), REPORT_CHUNK)):
+        c = qmath.pauli_coefficients(m)
+        l1, t, discords = _coherences(m), c[:, 1:, 1:], _discords(c, np.linalg.eigvalsh(m))
+        fields = l1, _nonlocal_coherences(l1, c), discords, _negativities(m), _steerings(t), _nonlocalities(t)
+        reports += map(ResourceReport, *(f.tolist() for f in fields))
+    return reports
 
 
 def full_reports(states: Sequence[DensityMatrix]) -> list[ResourceReport]:
-    """``full_report`` of each state, measured on stacks of up to ``REPORT_CHUNK`` states."""
-    states = list(states)
-    return [r for i in range(0, len(states), REPORT_CHUNK) for r in _reports(states[i : i + REPORT_CHUNK])]
+    """``full_report`` of each state: ``_reports`` on the stack of their matrices."""
+    return _reports(np.array([rho.matrix for rho in states]))
 
 
 def full_report(rho: DensityMatrix) -> ResourceReport:

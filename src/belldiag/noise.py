@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError, OutOfRangeError
-from .measures import ResourceReport, full_reports
+from .measures import ResourceReport, _reports
 from .states import DensityMatrix, _shown, strict_array, strict_index, strict_real, werner
 
 COMPLETENESS_ATOL = 1e-10
@@ -73,10 +73,10 @@ def decohered_werner_sweep(
 ) -> list[tuple[float, ResourceReport]]:
     """Measures of Werner states after damping qubit a, for each weight.
 
-    Every damped state is built first; one ``full_reports`` call measures them all.
+    The Werner matrices are damped and measured as one stack, with the bits of the per-state calls.
     """
     if not (np.iterable(w_grid) and hasattr(w_grid, "__len__")) or len(w_grid) == 0:
         raise OutOfRangeError(f"w_grid must be a nonempty sequence, got {type(w_grid).__name__}")
     channel = composite_damping(a, p)
     weights = [strict_real(w, OutOfRangeError, "Werner weight") for w in w_grid]
-    return list(zip(weights, full_reports([apply_channel(channel, werner(w)) for w in weights])))
+    return list(zip(weights, _reports(_channel_applied(channel, np.array([werner(w).matrix for w in weights]), 0))))

@@ -9,7 +9,7 @@ This module also owns the Pauli convention of the package. A two-qubit
 operator is written ``m = (1/4) sum_jk c_jk sigma_j x sigma_k`` with the real
 coefficients ``c_jk = Tr(m sigma_j x sigma_k)``; ``pauli_coefficients`` and
 ``from_pauli_coefficients`` convert. ``DensityMatrix.pauli`` computes a state's
-``c``, ``cli._sweep_rows`` the sweep's stacked table, ``measures.full_reports`` a chunk's.
+``c``, ``cli._sweep_rows`` the sweep's stacked table, ``measures._reports`` each chunk's.
 
 ``STATE_MIN_EIGENVALUE`` is the one physical-spectrum floor, read by
 ``DensityMatrix``, ``tomography.reconstruct`` and ``matrix_sqrt_psd``.
@@ -101,7 +101,8 @@ def _xlog2x(probabilities: np.ndarray) -> np.ndarray:
     ``ENTROPY_EIGENVALUE_CUTOFF`` count as 0. A NaN entry gives NaN.
     """
     w = np.maximum(probabilities, 0.0, dtype=float)
-    return w * np.log2(w, out=np.zeros(w.shape), where=w > ENTROPY_EIGENVALUE_CUTOFF)
+    log = np.log2(w, out=np.zeros(w.shape), where=w > ENTROPY_EIGENVALUE_CUTOFF)
+    return np.multiply(w, log, out=log)  # into the log's buffer: no third array
 
 
 def entropy_bits(probabilities: np.ndarray) -> np.ndarray:

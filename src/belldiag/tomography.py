@@ -204,6 +204,7 @@ def tomograph(rho: DensityMatrix, shots: int, seed: int = 0) -> ReconstructionRe
 def _tomographs(c: np.ndarray, shots: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``tomograph`` of a stack of Pauli tables (N, 4, 4), row i sampled with ``seeds[i]``; see ``_reconstructed``."""
     shots = strict_index(shots, OutOfRangeError, "shots", 0, MAX_SHOTS)
+    seeds = [strict_index(seed, OutOfRangeError, "seed") for seed in seeds]  # read in exact mode too
     return _reconstructed(_estimated(_sampled_counts(c, shots, seeds), shots) if shots else _exact(c))
 
 

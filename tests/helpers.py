@@ -1,7 +1,5 @@
 """Shared random-object generators for the test suite."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -321,6 +321,8 @@ class TestErrorPath:
             # tomograph owns the whole shot range, so the sweep's negative count gets its message.
             (("sweep", "--points", "2", "--shots", "-1"), "shots must be in [0, "),
             (("sweep", "--points", "0"), "--points must be >= 1"),
+            # An empty layout is parsed, not read as no layout.
+            (("prepare", "--werner", "0.5", "--qasm", "--layout", ""), "bad layout entry '', expected name:index\n"),
             (
                 ("prepare", "--werner", "0.5", "--qasm", "--layout", "a:1,b:3,c:2,d:65536"),
                 "a physical qubit must be in [0, 65535], got 65536\n",
@@ -341,6 +343,7 @@ class TestErrorPath:
             "short-noise",
             "negative-shots",
             "no-points",
+            "empty-layout",
             "layout-at-65536",
             "layout-missing-qubit",
             "layout-shared-physical",

@@ -10,6 +10,7 @@ from oracles import apply_channel_superoperator
 
 import belldiag as bd
 from belldiag.exceptions import DimensionMismatchError, OutOfRangeError
+from belldiag.measures import REPORT_CHUNK
 from belldiag.noise import COMPLETENESS_ATOL, KrausChannel
 
 SQRT2 = math.sqrt(2.0)
@@ -193,8 +194,9 @@ class TestDecoheredSweep:
                 assert nrep.as_dict()[key] <= crep.as_dict()[key] + 1e-9
 
     def test_reports_match_one_state_at_a_time(self):
-        # The sweep measures its damped states as one stack; each report keeps the bits of full_report.
-        grid = np.linspace(0, 1, 21)
+        # The sweep damps and measures its states as one stack; each report keeps the bits of full_report.
+        # The grid spans three report chunks, so the chunk loop is compared too.
+        grid = np.linspace(0, 1, 2 * REPORT_CHUNK + 7)
         channel = bd.composite_damping(0.3, 0.3)
         swept = bd.decohered_werner_sweep(0.3, 0.3, grid)
         assert [w for w, _ in swept] == [float(w) for w in grid]

@@ -402,6 +402,13 @@ class TestTomograph:
         with pytest.raises(OutOfRangeError, match="integer"):
             bd.tomograph(bd.werner(0.5), shots)
 
+    @pytest.mark.parametrize("shots", [0, 16])
+    @pytest.mark.parametrize("seed", [True, 1.5, "x", None])
+    def test_seed_must_be_an_integer(self, shots, seed):
+        # Exact mode draws nothing, but its seed is read all the same.
+        with pytest.raises(OutOfRangeError, match="seed must be an integer"):
+            bd.tomograph(bd.werner(0.5), shots, seed)
+
     def test_convergence_at_default_shot_count(self):
         rho = bd.werner(0.5)
         exact = exact_correlations(rho)
