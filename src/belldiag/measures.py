@@ -26,13 +26,18 @@ step. In the basin they find, the objective is smooth, so the next
 ``DISCORD_NEWTON_ROUNDS`` converge quadratically by the Newton step of a
 quadratic fitted to each chart's 25 values (Absil, Mahony and Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008). A last call evaluates the
-Newton points; the search keeps the best value it evaluated.
+Newton points; the search keeps the best value it evaluated. Each call holds
+two things constant: the state's operands b, T transposed and a, sliced once
+per search by ``_objective_operands``, and on the first call the 75 axes of the
+first round, the same for every state and normalised at import. The charts'
+arrays broadcast over the states, so no array is copied per state.
 
 Every measure is a kernel on a stack of states, and each public measure is its
 kernel on a stack of one. ``_reports``, the one report kernel, walks a matrix
 stack (N, 4, 4) in ``REPORT_CHUNK`` slices, each in one pass: one Pauli table,
 one ``eigvalsh`` of the states and one of their partial transposes, one SVD; a
-mask sends each state's discord to the closed form or to the stencil. Records
+mask sends each state's discord to the closed form or to the stencil, and a
+chunk with no closed-form state goes to the stencil unmasked. Records
 wrap only public inputs and outputs. ``full_report`` calls the public
 measures, which read the state's kept ``rho.pauli`` and ``rho.spectrum``, so
 each measure keeps its own caller and timing. The objective puts its sign and
@@ -74,8 +79,13 @@ _OFFSETS = _STENCIL @ _CHARTS[:, 1:]
 # Rows g_i, g_j, H_ii, H_jj, H_ij of the least-squares fit f ~ k0 + g.s + s.H s / 2 over the offsets s = (i, j). On the
 # stencil 1, i, j, i^2 - 2, j^2 - 2, ij are orthogonal, squared norms 25, 50, 50, 70, 70, 100; H_ii is 2x the i^2 term.
 _FIT = np.array([*(_STENCIL.T / 50), *((_STENCIL.T**2 - 2) / 35), _STENCIL.prod(axis=1) / 100])
-# Outcome signs of a measurement on qubit b.
+# Chart k's centre and tangents, each broadcast over the states of a search; its index, to pick a stencil offset.
+_CENTRES, _TANGENTS, _CHART_INDEX = _CHARTS[:, :1], _CHARTS[:, 1:], np.arange(3)[:, None]
+# Outcome signs of a measurement on qubit b; the objective holds them on its leading axis.
 _SIGNS = np.array([1.0, -1.0])
+_OUTCOME_SIGNS = _SIGNS[:, None, None]
+# Outcome probabilities p/2, then post-measurement spectrum (p + r)/4 and (p - r)/4: powers of two, so exact.
+_SCALES = np.array([0.5, 0.5, 0.25, 0.25, 0.25, 0.25])[:, None, None]
 _OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
@@ -103,10 +113,10 @@ def coherence_l1(rho: DensityMatrix) -> float:
     return float(_coherences(rho.matrix[None])[0])
 
 
-def _nonlocal_coherences(coherences: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _nonlocal_coherences(coherences: list[float], c: np.ndarray) -> list[float]:
     # math.hypot per state: a batched np.hypot differs from it in the last bit.
     a, b = c[:, 1:3, 0].tolist(), c[:, 0, 1:3].tolist()
-    return np.array([x - math.hypot(*u) - math.hypot(*v) for x, u, v in zip(coherences.tolist(), a, b)])
+    return [x - math.hypot(*u) - math.hypot(*v) for x, u, v in zip(coherences, a, b)]
 
 
 def nonlocal_coherence(rho: DensityMatrix) -> float:
@@ -115,7 +125,7 @@ def nonlocal_coherence(rho: DensityMatrix) -> float:
     A qubit with Bloch vector r has l1 coherence ``|r_x - i r_y|``, so the
     marginal coherences are read off the Pauli coefficients.
     """
-    return float(_nonlocal_coherences(_coherences(rho.matrix[None]), rho.pauli[None])[0])
+    return _nonlocal_coherences(_coherences(rho.matrix[None]).tolist(), rho.pauli[None])[0]
 
 
 def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,9 +157,10 @@ def steering(rho: DensityMatrix) -> float:
 
 
 def _nonlocalities(t: np.ndarray) -> np.ndarray:
-    # Singular values, not |eigenvalues|: T can be non-symmetric. np.dot per state: a batched sum changes bits.
+    # Singular values, not |eigenvalues|: T can be non-symmetric. The squared norm is one dot product per state:
+    # a stacked 1x3 @ 3x1 matmul runs np.dot's routine, where a batched sum changes bits.
     s = np.linalg.svd(t, compute_uv=False)
-    norm_sq = np.array([np.dot(x, x) for x in s])
+    norm_sq = (s[:, None] @ s[..., None])[:, 0, 0]
     return np.maximum(0.0, (np.sqrt(np.maximum(0.0, norm_sq - s.min(-1) ** 2)) - 1.0) / (SQRT2 - 1.0))
 
 
@@ -171,59 +182,79 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(_qubit_entropy(c[1:, 0]) + _qubit_entropy(c[0, 1:]) - joint)
 
 
-def _measured_mi(c: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Measured mutual information less ``S(rho_a)``, for states ``c`` (N, 4, 4) along axes ``n`` (N, K, 3).
+def _objective_operands(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_measured_mi``'s operands of states ``c`` (N, 4, 4): b as columns (N, 3, 1), T transposed, a (3, 1, N, 1)."""
+    # Views of a C-contiguous table, as a masked copy of c is: numpy picks matmul's loop, BLAS or its own, by strides.
+    c = np.ascontiguousarray(c)
+    return c[:, 0, 1:, None], c[:, 1:, 1:].transpose(0, 2, 1), c[:, 1:, 0].T[:, None, :, None]
+
+
+def _measured_mi(operands: tuple[np.ndarray, np.ndarray, np.ndarray], n: np.ndarray) -> np.ndarray:
+    """Measured mutual information less ``S(rho_a)``, of states' ``_objective_operands`` along axes ``n`` (N, K, 3).
 
     ``H(outcomes) - S(post-measurement state)``. With ``p = 1 +- b.n`` and
     ``r = |a +- T n|``, the outcome probabilities are ``p/2`` and the
-    post-measurement spectrum is ``(p +- r)/4``.
+    post-measurement spectrum is ``(p +- r)/4``. Axes ``(K, 3)`` are shared by all the states.
     """
-    p = 1 + _SIGNS[:, None, None] * (n @ c[:, 0, 1:, None])[..., 0]
-    tn = (n @ c[:, 1:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
-    m = c[:, 1:, 0].T[:, None, :, None] + tn[:, None] * _SIGNS[:, None, None]
-    r = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+    b, t_transposed, a = operands
+    p = 1 + _OUTCOME_SIGNS * (n @ b)[..., 0]
+    tn = (n @ t_transposed).transpose(2, 0, 1)
+    m = a + tn[:, None] * _OUTCOME_SIGNS
+    sq = m * m
+    r = np.sqrt(sq[0] + sq[1] + sq[2])
     # x log2 x of the outcome probabilities, then of the post-measurement spectrum, in one pass.
-    t = qmath._xlog2x(np.concatenate([p / 2, (p + r) / 4, (p - r) / 4]))
-    return t[2:].sum(0) - t[:2].sum(0)
+    t = qmath._xlog2x(np.concatenate([p, p + r, p - r]) * _SCALES)
+    return np.add.reduce(t[2:]) - np.add.reduce(t[:2])
+
+
+def _normalised(n: np.ndarray) -> np.ndarray:
+    sq = n * n  # summed component by component: numpy's loop over a trailing axis of 3 is slow
+    return n / np.sqrt(sq[..., :1] + sq[..., 1:2] + sq[..., 2:])
+
+
+# Every search starts on the same stencils, so its first-round axes are constants, chart by chart.
+_FIRST_AXES = _normalised(_CENTRES + _OFFSETS * DISCORD_FIRST_STEP).reshape(-1, 3)
 
 
 def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
     """Best ``_measured_mi`` of each state ``c`` (N, 4, 4) on the charts; the first round alone without ``refine``."""
-    rounds = DISCORD_HALVING_ROUNDS + DISCORD_NEWTON_ROUNDS if refine else 1
-    # Row 3i + k of each array belongs to chart k of state i; its points are held as unnormalised axes.
-    centres, tangents, offsets = (np.tile(x, (len(c), 1, 1)) for x in (_CHARTS[:, :1], _CHARTS[:, 1:], _OFFSETS))
-    cells = np.arange(len(centres))[:, None]
-    steps = np.full((len(centres), 1, 1), DISCORD_FIRST_STEP)
-    found = []
-    for i in range(rounds + refine):  # with refine, a last call on the points the rounds reached
-        n = centres + offsets * steps if i < rounds else centres
-        sq = n * n  # summed component by component: numpy's loop over a trailing axis of 3 is slow
-        trial = _measured_mi(c, (n / np.sqrt(sq[..., :1] + sq[..., 1:2] + sq[..., 2:])).reshape(len(c), -1, 3))
-        found.append(trial)
-        values = trial.reshape(len(cells), -1)
-        best = n[cells, values.argmax(axis=1, keepdims=True)]
+    rounds = DISCORD_HALVING_ROUNDS + DISCORD_NEWTON_ROUNDS if refine else 0
+    operands = _objective_operands(c)
+    # Row (i, k) of each array belongs to chart k of state i, or to chart k of every state in the first round.
+    # The points are held as unnormalised axes.
+    centres, steps = _CENTRES, DISCORD_FIRST_STEP
+    found = [_measured_mi(operands, _FIRST_AXES).reshape(len(c), 3, -1)]
+    for i in range(rounds):  # each round's values set the next call: a stencil, or after the last round its centres
+        values = found[-1]
+        best = centres + _OFFSETS[_CHART_INDEX, values.argmax(axis=2)[..., None]] * steps
         if i < DISCORD_HALVING_ROUNDS:
             centres, steps = best, steps / 2
-        elif i < rounds:
+        else:
             # The Newton step -H^-1 g = adj(H) g / det(H), in stencil units, is taken only where h_ii < 0 and
             # the step is within 2 units. That bound implies det > 0, so H is negative definite and the step finite.
-            g_i, g_j, h_ii, h_jj, h_ij = (values @ _FIT.T).T[..., None, None]
-            det = h_ii * h_jj - h_ij * h_ij
-            adj_g = np.concatenate([h_ij * g_j - h_jj * g_i, h_ij * g_i - h_ii * g_j], axis=-1)
-            newton = (h_ii < 0) & (abs(adj_g).max(axis=-1, keepdims=True) < 2 * det)
-            centres = np.where(newton, centres + adj_g / np.where(newton, det, 1.0) @ tangents * steps, best)
+            # The fit's columns are g_i, g_j, h_ii, h_jj, h_ij; adj(H) g = (h_ij g_j - h_jj g_i, h_ij g_i - h_ii g_j).
+            fit = (values.reshape(-1, len(_STENCIL)) @ _FIT.T).reshape(len(c), 3, 1, 5)
+            g, h_ii, h_ij = fit[..., :2], fit[..., 2:3], fit[..., 4:]
+            det = h_ii * fit[..., 3:4] - h_ij * h_ij
+            adj_g = h_ij * fit[..., 1::-1] - fit[..., 3:1:-1] * g
+            newton = (h_ii < 0) & (np.maximum.reduce(abs(adj_g), axis=-1, keepdims=True) < 2 * det)
+            centres = np.where(newton, centres + adj_g / np.where(newton, det, 1.0) @ _TANGENTS * steps, best)
             steps = steps / np.where(newton, 8.0, 2.0)
-    return np.concatenate(found, axis=1).max(axis=1)
+        n = centres + _OFFSETS * steps if i < rounds - 1 else centres
+        found.append(_measured_mi(operands, _normalised(n).reshape(len(c), -1, 3)).reshape(len(c), 3, -1))
+    return np.maximum.reduce(np.concatenate(found, axis=2), axis=(1, 2))
 
 
 def _discords(c: np.ndarray, spectra: np.ndarray, refine: bool = True) -> np.ndarray:
     """``discord_oz`` of states with Pauli tables ``c`` (N, 4, 4) and ``spectra`` (N, 4), searched on the stack."""
-    best = np.empty(len(c))
     luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
     if luo.any():
-        best[luo] = _measured_mi(c[luo], np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
-    if not luo.all():
-        best[~luo] = _stencil_search(c[~luo], refine)
+        best = np.empty(len(c))
+        best[luo] = _measured_mi(_objective_operands(c[luo]), np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
+        if not luo.all():
+            best[~luo] = _stencil_search(c[~luo], refine)
+    else:  # no state takes the closed form: the search takes the stack unmasked
+        best = _stencil_search(c, refine)
     return np.maximum(_qubit_entropy(c[:, 0, 1:]) - qmath.entropy_bits(spectra) - best, 0.0)
 
 
@@ -243,9 +274,9 @@ def _reports(matrices: np.ndarray) -> list[ResourceReport]:
     reports = []
     for m in (matrices[i : i + REPORT_CHUNK] for i in range(0, len(matrices), REPORT_CHUNK)):
         c = qmath.pauli_coefficients(m)
-        l1, t, discords = _coherences(m), c[:, 1:, 1:], _discords(c, np.linalg.eigvalsh(m))
-        fields = l1, _nonlocal_coherences(l1, c), discords, _negativities(m), _steerings(t), _nonlocalities(t)
-        reports += map(ResourceReport, *(f.tolist() for f in fields))
+        l1, t = _coherences(m).tolist(), c[:, 1:, 1:]
+        fields = _discords(c, np.linalg.eigvalsh(m)), _negativities(m), _steerings(t), _nonlocalities(t)
+        reports += map(ResourceReport, l1, _nonlocal_coherences(l1, c), *(f.tolist() for f in fields))
     return reports
 
 

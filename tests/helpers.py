@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 import belldiag as bd
+from belldiag import qmath
 
 
 def ginibre_state(rng: np.random.Generator, rank: int = 4) -> bd.DensityMatrix:
@@ -12,6 +13,29 @@ def ginibre_state(rng: np.random.Generator, rank: int = 4) -> bd.DensityMatrix:
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
     return bd.DensityMatrix(m / np.trace(m).real, validate=False)
+
+
+def ridge_state(rng: np.random.Generator, scale: float) -> bd.DensityMatrix:
+    """Random state whose correlation matrix has two singular values of equal size, and small Bloch vectors.
+
+    T = U diag(s, -s, t3) V^T with s ~ U(0, 0.6), t3 ~ U(-0.6, 0.6) and rotations U, V of det +1; the Bloch
+    vectors a and b have components N(0, scale^2). Draws that are not positive semidefinite are rejected.
+    """
+    while True:
+        s, t3 = rng.uniform(0, 0.6), rng.uniform(-0.6, 0.6)
+        u, v = (random_rotation(rng) for _ in range(2))
+        c = np.zeros((4, 4))
+        c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = 1.0, *rng.normal(0, scale, size=(2, 3)), u @ np.diag([s, -s, t3]) @ v.T
+        m = qmath.from_pauli_coefficients(c)
+        if np.linalg.eigvalsh(m)[0] >= 0:
+            return bd.DensityMatrix(m)
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Random 3x3 rotation: the QR of a normal matrix with the signs of R's diagonal fixed, and det +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q * np.array([1.0, 1.0, np.linalg.det(q)])
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import counting, ginibre_state, random_psd, random_unitary, rotated_bell_diagonal
+from helpers import counting, ginibre_state, random_psd, random_unitary, ridge_state, rotated_bell_diagonal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativity_bruteforce
@@ -198,6 +198,17 @@ class TestDiscord:
         assert gap <= 1e-12
         if gap < -1e-4:
             assert discord - discord_grid_oracle(rho.matrix, n_theta=361, n_phi=721) >= -1e-4
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.001, 0.01, 0.1]))
+    @example(seed=145, scale=0.01)
+    def test_ridge_family_never_above_the_grid_oracle(self, seed, scale):
+        # When two singular values of T have equal size, the objective has a ridge of axes; small Bloch
+        # vectors split it into local maxima, and the search can keep a lower one. On the example, discord
+        # reads 1.4e-4 above the grid.
+        rho = ridge_state(np.random.default_rng(seed), scale)
+        assert bd.discord_oz(rho) - discord_grid_oracle(rho.matrix, n_theta=181, n_phi=361) <= 1e-12
 
     @pytest.mark.parametrize(
         "a, p, w",
@@ -420,6 +431,20 @@ def report_pool():
     return pool, report_bits(bd.full_reports(pool))
 
 
+@functools.cache
+def stencil_pool():
+    """2 x REPORT_CHUNK + 3 states whose discord takes the stencil search, and their one-at-a-time reports."""
+    rng = np.random.default_rng(37)
+    damping = bd.composite_damping(0.3, 0.3)
+    kinds = (
+        lambda i: ginibre_state(rng, rank=1 + i % 4),
+        lambda i: bd.apply_channel(damping, bd.werner(i / 66), qubit=0),
+        lambda i: ridge_state(rng, (0.001, 0.01, 0.1)[i % 3]),
+    )
+    pool = [kinds[i % len(kinds)](i) for i in range(2 * measures.REPORT_CHUNK + 3)]
+    return pool, report_bits(bd.full_report(rho) for rho in pool)
+
+
 class TestFullReports:
     def test_stack_matches_one_state_at_a_time(self, rng):
         # Interleaved, so that every chunk holds states of both sides of the mask: marginals
@@ -442,6 +467,14 @@ class TestFullReports:
                 stack += [result.state, bd.DensityMatrix(result.raw_matrix, validate=False)]
         assert len(stack) > measures.REPORT_CHUNK and projected == {False, True}
         assert report_bits(bd.full_reports(stack)) == report_bits([bd.full_report(rho) for rho in stack])
+
+    @pytest.mark.parametrize("size", [1, 2, 2 * measures.REPORT_CHUNK + 3])
+    def test_all_stencil_stacks_match_one_state_at_a_time(self, size):
+        # No state takes the closed form, so every chunk runs the search on all of its rows.
+        pool, reports = stencil_pool()
+        assert all(max(map(np.linalg.norm, (rho.pauli[1:, 0], rho.pauli[0, 1:]))) > ROUNDOFF_CLAMP for rho in pool)
+        for start in range(0, len(pool) - size + 1, size):
+            assert report_bits(bd.full_reports(pool[start : start + size])) == reports[start : start + size]
 
     def test_no_states(self):
         assert bd.full_reports([]) == []
