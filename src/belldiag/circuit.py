@@ -5,7 +5,7 @@ prepares any Bell-diagonal state as the reduced state of a four-qubit pure
 state. The rotation on qubit ``b`` is conditioned on qubit ``a`` through a
 CNOT-conjugated rotation pair; when the two conditionals of k given j agree,
 which includes every product-form spec, that pair collapses to one rotation
-and the circuit has six gates.
+and the circuit has six gates. The simulator applies a CNOT as a row swap.
 """
 
 import functools
@@ -60,8 +60,8 @@ class Gate:
         if not (np.iterable(self.params) and np.iterable(self.targets)):
             kinds = f"{type(self.params).__name__} and {type(self.targets).__name__}"
             raise OutOfRangeError(f"gate params and targets must be sequences, got {kinds}")
-        params = tuple(strict_real(p, OutOfRangeError, "a gate angle") for p in self.params)
-        targets = tuple(strict_index(t, OutOfRangeError, "a gate target") for t in self.targets)
+        params = tuple([strict_real(p, OutOfRangeError, "a gate angle") for p in self.params])
+        targets = tuple([strict_index(t, OutOfRangeError, "a gate target") for t in self.targets])
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "targets", targets)
         n_params, n_targets, _ = _GATES[self.kind]
@@ -73,11 +73,14 @@ class Gate:
     def matrix(self) -> np.ndarray:
         """Unitary matrix of the gate (4x4 for cx, ordered control then target)."""
         if self.kind == "r":
-            x = self.params[0]
-            return np.array(
-                [[math.cos(x), -math.sin(x)], [math.sin(x), math.cos(x)]], dtype=complex
-            )
+            return np.array(_rotation(self.params[0]), dtype=complex)
         return _GATES[self.kind][2].copy()
+
+
+def _rotation(x: float) -> list[list[float]]:
+    """Entries of ``r``'s matrix [[cos x, -sin x], [sin x, cos x]]."""
+    c, s = math.cos(x), math.sin(x)
+    return [[c, -s], [s, c]]
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,9 @@ class Circuit:
         if len(set(self.qubit_names)) != self.n_qubits:
             raise InvalidLayoutError(f"qubit_names must be distinct, got {self.qubit_names}")
         for g in self.gates:
-            for t in g.targets:
-                strict_index(t, DimensionMismatchError, f"gate {g.kind}'s target", 0, n - 1)
+            for t in g.targets:  # a Gate's targets are ints already; strict_index only words a refusal
+                if not 0 <= t < n:
+                    strict_index(t, DimensionMismatchError, f"gate {g.kind}'s target", 0, n - 1)
 
 
 _CX_AB = Gate("cx", (), (0, 1))
@@ -125,7 +129,7 @@ def purification_circuit(spec: BdsSpec) -> Circuit:
     rotates c, d into the Bell basis. The partial trace over a, b leaves
     the target state.
     """
-    p = spec.probabilities
+    p = (spec.p00, spec.p01, spec.p10, spec.p11)
 
     def half_angle(num: float, den: float) -> float | None:
         if den <= PREP_ATOL:
@@ -155,22 +159,43 @@ def simulate_statevector(circ: Circuit) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _index_rows(n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Row r holds the amplitudes whose target bits, in the gate matrix's order, spell r; cached, so read-only."""
+def _index_rows(n_qubits: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row r of ``rows`` holds the amplitudes whose target bits, in the gate matrix's order, spell r;
+    ``back`` puts the flattened rows in amplitude order. Cached, so read-only."""
     index = np.arange(2**n_qubits).reshape((2,) * n_qubits)
     rows = np.moveaxis(index, targets, range(len(targets))).reshape(2 ** len(targets), -1)
+    back = np.argsort(rows.ravel())
     rows.setflags(write=False)
-    return rows
+    back.setflags(write=False)
+    return rows, back
+
+
+@functools.lru_cache(maxsize=64)
+def _swapped_order(n_qubits: int, targets: tuple[int, int]) -> np.ndarray:
+    """Amplitude order after a ``cx``: its two rows whose control bit is set trade places; cached, so read-only."""
+    rows = _index_rows(n_qubits, targets)[0]
+    order = np.arange(2**n_qubits)
+    order[rows[2:]] = rows[:1:-1]
+    order.setflags(write=False)
+    return order
 
 
 def _simulated(n_qubits: int, circuits: Sequence[tuple[Gate, ...]]) -> np.ndarray:
-    """State vectors (N, 2**n) of N gate sequences of the same kinds and targets, each with its own angles."""
+    """State vectors (N, 2**n) of N gate sequences of the same kinds and targets, each with its own angles.
+
+    A gate's rows are gathered, multiplied by its matrix and put back; a ``cx`` swaps its rows whose control bit
+    is set.
+    """
     psi = np.zeros((len(circuits), 2**n_qubits), dtype=complex)
     psi[:, 0] = 1.0
     for gates in zip(*circuits):  # the i-th gate of every sequence
-        m = np.array([g.matrix() for g in gates]) if gates[0].params else gates[0].matrix()
-        rows = _index_rows(n_qubits, gates[0].targets)
-        psi[:, rows] = m @ psi[:, rows]
+        kind, targets = gates[0].kind, gates[0].targets
+        if kind == "cx":
+            psi = psi.take(_swapped_order(n_qubits, targets), axis=1)
+        else:
+            m = np.array([_rotation(g.params[0]) for g in gates], dtype=complex) if kind == "r" else _GATES[kind][2]
+            rows, back = _index_rows(n_qubits, targets)
+            psi = (m @ psi.take(rows, axis=1)).reshape(len(psi), -1).take(back, axis=1)
     return psi
 
 

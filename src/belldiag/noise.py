@@ -42,6 +42,8 @@ class KrausChannel:
         if defect > COMPLETENESS_ATOL:
             raise OutOfRangeError(f"channel is not trace preserving: |sum K†K - I| = {defect:.3e}")
         object.__setattr__(self, "operators", ops)
+        # The (K, 2, 2) stacks of the operators and of their conjugates that every application contracts.
+        object.__setattr__(self, "_stacked", (np.array(ops), np.array(ops).conj()))
 
 
 def composite_damping(a: float, p: float) -> KrausChannel:
@@ -64,8 +66,8 @@ def _channel_applied(channel: KrausChannel, m: np.ndarray, qubit: int) -> np.nda
     """``apply_channel`` on each two-qubit matrix of a stack (..., 4, 4), with the bits of its own call."""
     split = (2**qubit, 2, 2 ** (1 - qubit))  # row and column index: (qubits before, qubit, qubits after)
     t = m.reshape(m.shape[:-2] + split + split)
-    ops = np.array(channel.operators)
-    return np.einsum("kai,...xiyzjw,kbj->...xayzbw", ops, t, ops.conj()).reshape(m.shape)
+    ops, conj = channel._stacked
+    return np.einsum("kai,...xiyzjw,kbj->...xayzbw", ops, t, conj).reshape(m.shape)
 
 
 def decohered_werner_sweep(

@@ -56,7 +56,7 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     if (low := w[..., 0].min()) < STATE_MIN_EIGENVALUE:
         raise NegativeSpectrumError(f"matrix is not PSD: min eigenvalue = {low:.3e}")
-    s = np.sqrt(np.clip(w, 0.0, None))
+    s = np.sqrt(np.maximum(w, 0.0))
     return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

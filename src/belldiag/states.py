@@ -34,12 +34,13 @@ class BdsSpec:
     p11: float
 
     def __post_init__(self):
+        p = []
         for name in ("p00", "p01", "p10", "p11"):
-            object.__setattr__(self, name, strict_real(getattr(self, name), InvalidProbabilitiesError, name))
-        p = self.probabilities
-        if np.any(p < -PROBABILITY_ATOL) or np.any(p > 1 + PROBABILITY_ATOL):
-            raise InvalidProbabilitiesError(f"probabilities out of [0, 1]: {p.tolist()}")
-        total = float(np.sum(p))
+            p.append(strict_real(getattr(self, name), InvalidProbabilitiesError, name))
+            object.__setattr__(self, name, p[-1])
+        if min(p) < -PROBABILITY_ATOL or max(p) > 1 + PROBABILITY_ATOL:
+            raise InvalidProbabilitiesError(f"probabilities out of [0, 1]: {p}")
+        total = 0.0 + p[0] + p[1] + p[2] + p[3]  # np.sum's order on four entries, from its 0.0 start
         if abs(total - 1.0) > PROBABILITY_ATOL:
             raise InvalidProbabilitiesError(f"probabilities sum to {total!r}, expected 1")
 
@@ -137,6 +138,8 @@ def strict_index(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=
 
     ``bool`` and every float are refused: a JSON ``true`` is not 1, nor ``1.0``. The range is open by default.
     """
+    if type(value) is int and lo <= value <= hi:
+        return value
     if not isinstance(value, bool):
         try:
             return _within(operator.index(value), error, name, lo, hi)
@@ -150,6 +153,8 @@ def strict_real(value, error: type[BellDiagError], name: str, lo=-math.inf, hi=m
 
     ``bool``, ``str``, ``bytes`` and integers too large for a float are refused. The range is open by default.
     """
+    if type(value) is float and math.isfinite(value) and lo <= value <= hi:
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             if math.isfinite(x := float(value)):
@@ -207,7 +212,7 @@ def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     root = qmath.matrix_sqrt_psd(rho)
     inner = root @ sigma @ root
     w = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
-    return np.minimum(np.maximum(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1), 0.0), 1.0)
+    return np.minimum(np.maximum(np.sqrt(np.maximum(w, 0.0)).sum(axis=-1), 0.0), 1.0)
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:

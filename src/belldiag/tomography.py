@@ -25,9 +25,10 @@ MAX_SHOTS = np.iinfo(np.int64).max  # the most trials numpy's multinomial takes
 
 # Outcome order for the four counts of one setting.
 OUTCOMES = ("pp", "pm", "mp", "mm")
-# Local eigenvalue signs (s_a, s_b) of each outcome, in OUTCOMES order.
-_SIGNS_A = np.array([1, 1, -1, -1])
-_SIGNS_B = np.array([1, -1, 1, -1])
+# Local eigenvalue signs (s_a, s_b) of each outcome, in OUTCOMES order, and their products.
+_SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])
+_SIGNS_AB = _SIGNS_A * _SIGNS_B
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,8 @@ class MeasurementSetting:
         return self.basis_a + self.basis_b
 
 
-SETTINGS = tuple(
-    MeasurementSetting(a, b) for a in BASES for b in BASES
-)
+SETTINGS = tuple(MeasurementSetting(a, b) for a in BASES for b in BASES)
+_SETTING_SET = frozenset(SETTINGS)  # hashed once: a setting's hash is a Python-level call
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,16 @@ class TomographyCounts:
             raise OutOfRangeError("shots_per_setting must be in [1, 2**63 - 1]")
         if not isinstance(self.counts, Mapping):
             raise OutOfRangeError(f"counts must map each setting to its four counts, got {type(self.counts).__name__}")
-        if set(self.counts) != set(SETTINGS):
-            missing = sorted(s.key for s in set(SETTINGS) - set(self.counts))
+        if set(self.counts) != _SETTING_SET:
+            missing = sorted(s.key for s in _SETTING_SET - set(self.counts))
             extra = ", ".join(_shown(s) for s in self.counts if s not in SETTINGS)
             raise OutOfRangeError(f"settings must be exactly SETTINGS: missing {missing}, extra [{extra}]")
         rows = {}  # an owned copy: the caller's mapping and rows may change after this check
         for s, row in self.counts.items():
-            name = f"{s.key} count"
-            row = rows[s] = tuple([strict_index(v, OutOfRangeError, name, 0) for v in row]) if np.iterable(row) else ()
+            row = tuple(row) if np.iterable(row) else ()
+            if not all(type(v) is int and v >= 0 for v in row):  # the message is built only for a refusal
+                row = tuple([strict_index(v, OutOfRangeError, f"{s.key} count", 0) for v in row])
+            rows[s] = row
             if len(row) != 4:
                 raise OutOfRangeError(f"setting {s.key} needs 4 counts")
             if sum(row) != shots:
@@ -94,7 +96,7 @@ def _born_table(c: np.ndarray) -> np.ndarray:
     ``p(s_a, s_b) = (1 + s_a c_j0 + s_b c_0k + s_a s_b c_jk) / 4`` for (sigma_j, sigma_k).
     """
     a, b, t = c[..., 1:, 0, None, None], c[..., None, 0, 1:, None], c[..., 1:, 1:, None]
-    return np.clip((1 + a * _SIGNS_A + b * _SIGNS_B + t * (_SIGNS_A * _SIGNS_B)) / 4, 0.0, None)
+    return np.maximum((1 + a * _SIGNS_A + b * _SIGNS_B + t * _SIGNS_AB) / 4, 0.0)
 
 
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
@@ -106,7 +108,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts
     """Multinomial outcome counts for all nine settings: ``_sampled_counts`` on a stack of one."""
     shots = strict_index(shots, OutOfRangeError, "shots", 1, MAX_SHOTS)
     counts = _sampled_counts(rho.pauli[None], shots, [seed])[0]
-    return TomographyCounts(shots_per_setting=shots, counts=dict(zip(SETTINGS, counts)))
+    return TomographyCounts(shots_per_setting=shots, counts=dict(zip(SETTINGS, counts.tolist())))
 
 
 def _sampled_counts(c: np.ndarray, shots: int, seeds) -> np.ndarray:
@@ -140,12 +142,12 @@ def _estimated(n: np.ndarray, shots: int) -> np.ndarray:
     n = np.asarray(n, dtype=float).reshape(n.shape[:-2] + (3, 3, 4))
     c = np.zeros(n.shape[:-3] + (4, 4), dtype=float)
     c[..., 0, 0] = 1.0
-    c[..., 1:, 1:] = (n @ (_SIGNS_A * _SIGNS_B)) / shots
+    c[..., 1:, 1:] = (n @ _SIGNS_AB) / shots
     # Each single-qubit average is measured by three compatible settings;
     # use their mean to reduce variance.
-    c[..., 1:, 0] = np.sum(n @ _SIGNS_A, axis=-1) / (3 * shots)
-    c[..., 0, 1:] = np.sum(n @ _SIGNS_B, axis=-2) / (3 * shots)
-    return np.clip(c, -1.0, 1.0)
+    c[..., 1:, 0] = (n @ _SIGNS_A).sum(axis=-1) / (3 * shots)
+    c[..., 0, 1:] = (n @ _SIGNS_B).sum(axis=-2) / (3 * shots)
+    return np.minimum(np.maximum(c, -1.0), 1.0)  # np.clip's bits, without its wrapper
 
 
 def exact_correlations(rho: DensityMatrix) -> np.ndarray:
@@ -155,7 +157,7 @@ def exact_correlations(rho: DensityMatrix) -> np.ndarray:
 
 def _exact(c: np.ndarray) -> np.ndarray:
     """``exact_correlations`` of Pauli tables of shape (..., 4, 4)."""
-    c = np.clip(c, -1.0, 1.0)
+    c = np.minimum(np.maximum(c, -1.0), 1.0)
     c[..., 0, 0] = 1.0
     return c
 
@@ -184,8 +186,8 @@ def _reconstructed(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     projected = w[:, 0] < qmath.STATE_MIN_EIGENVALUE
     physical = raw.copy()
     if projected.any():
-        w, v = np.clip(w[projected], 0.0, None), v[projected]
-        physical[projected] = (v * (w / np.sum(w, axis=-1, keepdims=True))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        w, v = np.maximum(w[projected], 0.0), v[projected]
+        physical[projected] = (v * (w / w.sum(axis=-1, keepdims=True))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return physical, projected, raw
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -241,6 +242,29 @@ class TestSimulator:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert control_first == {True, False}
 
+    def test_matches_gather_matmul_scatter(self, rng):
+        # The reference applies each gate's matrix, cx's 0/1 one too, to the rows of amplitudes its targets
+        # index; the simulator swaps cx's rows instead, and must give the same values.
+        def reference(n, gates):
+            psi = np.eye(2**n, dtype=complex)[0]
+            index = np.arange(2**n).reshape((2,) * n)
+            for g in gates:
+                rows = np.moveaxis(index, g.targets, range(len(g.targets))).reshape(2 ** len(g.targets), -1)
+                psi[rows] = g.matrix() @ psi[rows]
+            return psi
+
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            gates = []
+            for _ in range(int(rng.integers(1, 16))):
+                kind = str(rng.choice(("r", "h", "cx") if n > 1 else ("r", "h")))
+                if kind == "cx":
+                    gates.append(Gate("cx", (), tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+                else:
+                    angles = (float(rng.uniform(-np.pi, np.pi)),) if kind == "r" else ()
+                    gates.append(Gate(kind, angles, (int(rng.integers(n)),)))
+            np.testing.assert_array_equal(bd.simulate_statevector(Circuit(n, tuple(gates))), reference(n, gates))
+
     def test_cnot_control_first_convention(self):
         # control on the higher index still acts as control; r(pi/2) on
         # qubit 1 first gives |01>, so control qubit 1 is set
@@ -285,6 +309,23 @@ class TestPreparedState:
             psi = bd.simulate_statevector(purification_circuit(spec))
             reference = qmath.partial_trace(np.outer(psi, psi.conj()), [2] * 4, keep=(2, 3))
             assert np.max(np.abs(got - reference)) <= 1e-15
+
+    def test_preparation_keeps_its_bytes(self):
+        # sha-256 of prepared_state's matrix and of the stacked _prepared_states over the 101-point Werner
+        # grid and 2,000 seeded Dirichlet specs, a fifth of them with a zero entry. A change that moves
+        # these bytes on purpose records it and updates the digest.
+        specs = [bd.werner_spec(i / 100) for i in range(101)]
+        rng = np.random.default_rng(1808)
+        for i in range(2000):
+            p = rng.dirichlet(np.ones(4))
+            if i % 5 == 0:
+                p[i // 5 % 4] = 0.0
+            specs.append(bd.BdsSpec(*(p / p.sum())))
+        digest = hashlib.sha256()
+        for spec in specs:
+            digest.update(bd.prepared_state(spec).matrix.tobytes())
+        digest.update(_prepared_states(specs).tobytes())
+        assert digest.hexdigest() == "385323abb1f84dbf88f13d3e3d9a0234d22c5fca7c50187e3e0a63cebde101d7"
 
     def test_pure_and_mixed_anchors(self):
         for spec, want in [

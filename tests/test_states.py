@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 from helpers import counting, ginibre_state, random_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belldiag as bd
 from belldiag import qmath, states
@@ -139,6 +141,61 @@ class TestBdsSpec:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidProbabilitiesError, match="finite"):
                 bd.BdsSpec(bad, 0, 0, 1)
+
+    def test_entry_bounds_are_inclusive(self):
+        atol = states.PROBABILITY_ATOL
+        bd.BdsSpec(-atol, 0.5, 0.5, atol)
+        bd.BdsSpec(1 + atol, -atol, 0, 0)
+        below, above = float(np.nextafter(-atol, -1)), float(np.nextafter(1 + atol, 2))
+        with pytest.raises(InvalidProbabilitiesError) as info:
+            bd.BdsSpec(below, 0.5, 0.5, atol)
+        assert str(info.value) == "probabilities out of [0, 1]: [-1.0000000000000002e-12, 0.5, 0.5, 1e-12]"
+        with pytest.raises(InvalidProbabilitiesError) as info:
+            bd.BdsSpec(above, -atol, 0, 0)
+        assert str(info.value) == "probabilities out of [0, 1]: [1.0000000000010003, -1e-12, 0.0, 0.0]"
+
+    @pytest.mark.parametrize(
+        "total, accepted",
+        [
+            (1.0000000000009999, True),
+            (1.000000000001, False),  # 1 + 1e-12, whose distance from 1 rounds above 1e-12
+            (1.0000000000010003, False),
+            (0.9999999999989999, False),
+            (0.999999999999, True),  # 1 - 1e-12
+            (0.9999999999990001, True),
+        ],
+    )
+    def test_sum_tolerance_edges(self, total, accepted):
+        # 0.5 + (total - 0.5) is total exactly, so the entries sum to it in any order.
+        if accepted:
+            bd.BdsSpec(0.5, total - 0.5, 0.0, 0.0)
+        else:
+            with pytest.raises(InvalidProbabilitiesError) as info:
+                bd.BdsSpec(0.5, total - 0.5, 0.0, 0.0)
+            assert str(info.value) == f"probabilities sum to {total!r}, expected 1"
+
+    def test_sum_of_negative_zeros_is_reported_as_zero(self):
+        with pytest.raises(InvalidProbabilitiesError) as info:
+            bd.BdsSpec(-0.0, -0.0, -0.0, -0.0)
+        assert str(info.value) == "probabilities sum to 0.0, expected 1"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        p=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+        nudge=st.sampled_from([0.0, 1e-13, 5e-13, 9e-13, 1e-12, 2e-12]) | st.floats(-3e-12, 3e-12),
+    )
+    def test_sum_is_numpys(self, p, nudge):
+        # Near-normalised entries, so that both verdicts occur: the sum is the one numpy takes of the array.
+        if sum(p) == 0:
+            p = [0.25] * 4
+        p = [x / sum(p) for x in p]
+        p[-1] = min(1.0, max(0.0, p[-1] + nudge))
+        total = float(np.sum(np.array(p)))
+        if abs(total - 1.0) <= states.PROBABILITY_ATOL:
+            bd.BdsSpec(*p)
+        else:
+            with pytest.raises(InvalidProbabilitiesError, match=re.escape(f"sum to {total!r}, expected 1")):
+                bd.BdsSpec(*p)
 
     def test_projectors_are_built_once(self, monkeypatch):
         # The four Bell projectors are module constants; a state is only their weighted sum.

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -416,6 +417,35 @@ class TestTomograph:
             counts = bd.sample_counts(rho, shots=8192, seed=seed)
             estimated = bd.estimate_correlations(counts)
             assert np.max(np.abs(estimated - exact)) < 0.05
+
+    def test_round_trip_keeps_its_bytes(self):
+        # sha-256 over round trips shaped like the benchmark's: 11 Werner weights, clean and damped at
+        # (0.3, 0.3), 8192 shots and exact. It covers the counts, the table, the reconstructed state,
+        # the projection flag, the raw matrix and the fidelity. A change that moves these bytes on
+        # purpose records it and updates the digest.
+        channel = bd.composite_damping(0.3, 0.3)
+        digest, projected = hashlib.sha256(), 0
+        for i in range(11):
+            for damped in (False, True):
+                target = bd.apply_channel(channel, bd.werner(i / 10)) if damped else bd.werner(i / 10)
+                for shots in (8192, 0):
+                    state = bd.prepared_state(bd.werner_spec(i / 10))
+                    if damped:
+                        state = bd.apply_channel(channel, state, qubit=0)
+                    if shots:
+                        counts = bd.sample_counts(state, shots, seed=4 * i + 2 * damped + 1)
+                        digest.update(np.array([counts.counts[s] for s in SETTINGS], dtype=np.int64).tobytes())
+                        c = bd.estimate_correlations(counts)
+                    else:
+                        c = exact_correlations(state)
+                    result = bd.reconstruct(c)
+                    fid = bd.fidelity(result.state, target)
+                    parts = (c, result.state.matrix, np.bool_(result.projected), result.raw_matrix, np.float64(fid))
+                    for part in parts:
+                        digest.update(part.tobytes())
+                    projected += result.projected
+        assert projected >= 1
+        assert digest.hexdigest() == "b74b79fdf50912ec3116eb9a918ed08ce08da6b3cf2ad0c01106a33f723e78ff"
 
 
 class TestCountsJson:
