@@ -10,7 +10,6 @@ from .circuit import (
 )
 from .measures import (
     ResourceReport,
-    bloch_decompose,
     coherence_l1,
     discord_oz,
     full_report,
@@ -36,7 +35,6 @@ from .tomography import (
     MeasurementSetting,
     ReconstructionResult,
     TomographyCounts,
-    born_probabilities,
     counts_from_json,
     counts_to_json,
     estimate_correlations,

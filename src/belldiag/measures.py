@@ -36,9 +36,9 @@ Every measure is a kernel on a stack of states, and each public measure is its
 kernel on a stack of one. ``_reports``, the one report kernel, walks a matrix
 stack (N, 4, 4) in ``REPORT_CHUNK`` slices, each in one pass: one Pauli table,
 one ``eigvalsh`` of the states and one of their partial transposes, one SVD; a
-mask sends each state's discord to the closed form or to the stencil, and a
-chunk with no closed-form state goes to the stencil unmasked. Records
-wrap only public inputs and outputs. ``full_report`` calls the public
+mask sends each state's discord to the closed form or to the stencil. Each reads
+a masked copy, which is C-contiguous; numpy picks matmul's loop by strides.
+Records wrap only public inputs and outputs. ``full_report`` calls the public
 measures, which read the state's kept ``rho.pauli`` and ``rho.spectrum``, so
 each measure keeps its own caller and timing. The objective puts its sign and
 vector-component axes first, so its elementwise loops run over all N K axes;
@@ -184,8 +184,6 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 def _objective_operands(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_measured_mi``'s operands of states ``c`` (N, 4, 4): b as columns (N, 3, 1), T transposed, a (3, 1, N, 1)."""
-    # Views of a C-contiguous table, as a masked copy of c is: numpy picks matmul's loop, BLAS or its own, by strides.
-    c = np.ascontiguousarray(c)
     return c[:, 0, 1:, None], c[:, 1:, 1:].transpose(0, 2, 1), c[:, 1:, 0].T[:, None, :, None]
 
 
@@ -248,13 +246,11 @@ def _stencil_search(c: np.ndarray, refine: bool) -> np.ndarray:
 def _discords(c: np.ndarray, spectra: np.ndarray, refine: bool = True) -> np.ndarray:
     """``discord_oz`` of states with Pauli tables ``c`` (N, 4, 4) and ``spectra`` (N, 4), searched on the stack."""
     luo = np.sqrt(np.maximum((c[:, 1:, 0] ** 2).sum(-1), (c[:, 0, 1:] ** 2).sum(-1))) <= ROUNDOFF_CLAMP
+    best = np.empty(len(c))
     if luo.any():
-        best = np.empty(len(c))
         best[luo] = _measured_mi(_objective_operands(c[luo]), np.linalg.svd(c[luo, 1:, 1:])[2][:, :1])[:, 0]
-        if not luo.all():
-            best[~luo] = _stencil_search(c[~luo], refine)
-    else:  # no state takes the closed form: the search takes the stack unmasked
-        best = _stencil_search(c, refine)
+    if not luo.all():
+        best[~luo] = _stencil_search(c[~luo], refine)
     return np.maximum(_qubit_entropy(c[:, 0, 1:]) - qmath.entropy_bits(spectra) - best, 0.0)
 
 

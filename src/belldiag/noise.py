@@ -18,7 +18,7 @@ from .states import DensityMatrix, _shown, strict_array, strict_index, strict_re
 COMPLETENESS_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: its operators are arrays
 class KrausChannel:
     """A completely positive trace-preserving single-qubit map given by Kraus operators."""
 

@@ -81,7 +81,7 @@ class TomographyCounts:
         object.__setattr__(self, "counts", MappingProxyType(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: a field is an array
 class ReconstructionResult:
     """Linear-inversion output: physical state, projection flag, raw matrix."""
 
@@ -107,17 +107,17 @@ def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.nd
 def sample_counts(rho: DensityMatrix, shots: int, seed: int) -> TomographyCounts:
     """Multinomial outcome counts for all nine settings: ``_sampled_counts`` on a stack of one."""
     shots = strict_index(shots, OutOfRangeError, "shots", 1, MAX_SHOTS)
-    counts = _sampled_counts(rho.pauli[None], shots, [seed])[0]
+    counts = _sampled_counts(rho.pauli[None], shots, [strict_index(seed, OutOfRangeError, "seed")])[0]
     return TomographyCounts(shots_per_setting=shots, counts=dict(zip(SETTINGS, counts.tolist())))
 
 
 def _sampled_counts(c: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Counts (N, 9, 4) of a stack of Pauli tables (N, 4, 4), row i drawn with ``seeds[i]``.
+    """Counts (N, 9, 4) of a stack of Pauli tables (N, 4, 4), row i drawn with the integer ``seeds[i]``.
 
     Each setting draws from its own counter-based generator keyed by (seed, setting index), so
     results are reproducible and independent of evaluation order and of the row's place in the stack.
     """
-    seeds = [strict_index(seed, OutOfRangeError, "seed") & 0xFFFFFFFFFFFFFFFF for seed in seeds]
+    seeds = [seed & 0xFFFFFFFFFFFFFFFF for seed in seeds]  # each caller reads its seeds with strict_index
     table = _born_table(c).reshape(-1, 9, 4)
     table = table / table.sum(axis=-1, keepdims=True)
     counts = np.array([

@@ -20,8 +20,8 @@ from hypothesis.extra import numpy as hnp
 import belldiag as bd
 from belldiag.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from belldiag.exceptions import BellDiagError
-from belldiag.measures import mutual_information
-from belldiag.tomography import SETTINGS
+from belldiag.measures import bloch_decompose, mutual_information
+from belldiag.tomography import SETTINGS, born_probabilities
 
 SCALARS = st.one_of(
     st.text(max_size=6),
@@ -92,9 +92,7 @@ TAKES_A_DENSITY_MATRIX = (
     "negativity",
     "steering",
     "nonlocality",
-    "bloch_decompose",
     "fidelity",
-    "born_probabilities",
     "exact_correlations",
     "density_matrix_to_json",
 )
@@ -131,13 +129,14 @@ ON_A_STATE = {
     **{
         name: getattr(bd, name)
         for name in TAKES_A_DENSITY_MATRIX
-        if name not in ("fidelity", "born_probabilities", "full_reports")
+        if name not in ("fidelity", "full_reports")
     },
     "full_reports": lambda rho: bd.full_reports([RHO, rho]),
     "mutual_information": mutual_information,
+    "bloch_decompose": bloch_decompose,
     "fidelity": lambda rho: bd.fidelity(rho, RHO),
     "fidelity-reversed": lambda rho: bd.fidelity(RHO, rho),
-    "born_probabilities": lambda rho: bd.born_probabilities(rho, SETTINGS[4]),
+    "born_probabilities": lambda rho: born_probabilities(rho, SETTINGS[4]),
     "sample_counts": lambda rho: bd.sample_counts(rho, 64, 1),
     "tomograph": lambda rho: bd.tomograph(rho, 0),
     "apply_channel": lambda rho: bd.apply_channel(CHANNEL, rho),

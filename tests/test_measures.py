@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import discord_grid_oracle, discord_zero_marginal_oracle, negativity_bruteforce
 
 import belldiag as bd
-from belldiag import measures, qmath
+from belldiag import cli, measures, qmath
 from belldiag.exceptions import BellDiagError, NotAStateError
 from belldiag.measures import ROUNDOFF_CLAMP, mutual_information
 
@@ -151,6 +151,24 @@ class TestDiscord:
         assert (len(objective), len(entropy)) == (objective_calls, entropy_calls)
         assert len(passes) == objective_calls + entropy_calls
 
+    def test_search_reads_c_contiguous_tables(self, rng, monkeypatch):
+        # numpy picks matmul's loop, BLAS or its own, by the operands' strides, which can change bits. Every
+        # path hands the objective a masked copy, which is C-contiguous: the closed form's and the stencil's.
+        contiguous, inner = [], measures._objective_operands
+
+        def operands(c):
+            contiguous.append(c.flags.c_contiguous)
+            return inner(c)
+
+        monkeypatch.setattr(measures, "_objective_operands", operands)
+        rho = ginibre_state(rng)
+        bd.full_report(rho)
+        bd.discord_oz(rho, refine=False)
+        bd.full_reports([ginibre_state(rng) if i % 2 else bd.werner(i / 9) for i in range(10)])
+        # Damped on qubit a, every measured row takes the stencil; the Werner targets take the closed form.
+        cli._sweep_rows(cli.build_parser().parse_args(["sweep", "--points", "3", "--shots", "0", "--noise", "0.3,0.3"]))
+        assert contiguous == [True] * 6
+
     def test_newton_fit_is_the_least_squares_solution(self):
         s = measures._STENCIL
         design = np.column_stack([np.ones(len(s)), s, s**2 / 2, s.prod(axis=1)])
@@ -283,18 +301,18 @@ class TestNegativity:
 
 class TestBlochDecomposition:
     def test_maximally_mixed(self):
-        a, b, t = bd.bloch_decompose(bd.werner(0.0))
+        a, b, t = measures.bloch_decompose(bd.werner(0.0))
         np.testing.assert_allclose(a, 0, atol=1e-12)
         np.testing.assert_allclose(b, 0, atol=1e-12)
         np.testing.assert_allclose(t, 0, atol=1e-12)
 
     def test_werner(self):
-        _, _, t = bd.bloch_decompose(bd.werner(0.7))
+        _, _, t = measures.bloch_decompose(bd.werner(0.7))
         np.testing.assert_allclose(t, -0.7 * np.eye(3), atol=1e-12)
 
     def test_computational_product(self):
         rho = bd.DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), validate=False)
-        a, b, t = bd.bloch_decompose(rho)
+        a, b, t = measures.bloch_decompose(rho)
         np.testing.assert_allclose(a, [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(b, [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(t, np.diag([0, 0, 1.0]), atol=1e-12)
@@ -302,7 +320,7 @@ class TestBlochDecomposition:
     def test_reconstruction(self, rng):
         for _ in range(20):
             rho = ginibre_state(rng)
-            a, b, t = bd.bloch_decompose(rho)
+            a, b, t = measures.bloch_decompose(rho)
             rebuilt = np.eye(4, dtype=complex)
             for j in range(3):
                 rebuilt += a[j] * np.kron(qmath.PAULIS[j + 1], qmath.SIGMA_0)

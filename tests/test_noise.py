@@ -10,7 +10,7 @@ from oracles import apply_channel_superoperator
 
 import belldiag as bd
 from belldiag.exceptions import DimensionMismatchError, OutOfRangeError
-from belldiag.measures import REPORT_CHUNK
+from belldiag.measures import REPORT_CHUNK, bloch_decompose
 from belldiag.noise import COMPLETENESS_ATOL, KrausChannel
 
 SQRT2 = math.sqrt(2.0)
@@ -80,6 +80,12 @@ class TestCompositeDamping:
         with pytest.raises(OutOfRangeError, match=re.escape(message)):
             bd.composite_damping(a, p)
 
+    def test_channels_compare_and_hash_by_identity(self):
+        # Comparing the operators by value would ask numpy for the truth value of an array.
+        channel, twin = bd.composite_damping(0.3, 0.3), bd.composite_damping(0.3, 0.3)
+        assert channel != twin and channel not in [twin]
+        assert channel == channel and channel in {channel}
+
     def test_incomplete_channel_rejected(self):
         with pytest.raises(OutOfRangeError):
             KrausChannel(operators=(np.eye(2, dtype=complex) * 0.5,))
@@ -127,7 +133,7 @@ class TestApplyChannel:
         channel = bd.composite_damping(0.3, 0.3)
         for w in (0.25, 0.5, 1.0):
             out = bd.apply_channel(channel, bd.werner(w), qubit=0)
-            _, _, t = bd.bloch_decompose(out)
+            _, _, t = bloch_decompose(out)
             np.testing.assert_allclose(t, -0.7 * w * np.eye(3), atol=1e-12)
 
     def test_quarter_noise_keeps_nonlocality(self):
@@ -216,7 +222,7 @@ class TestDecoheredSweep:
 
     def test_target_qubit_flag(self):
         out_b = bd.apply_channel(bd.composite_damping(0.3, 0.3), bd.werner(0.6), qubit=1)
-        a, b, t = bd.bloch_decompose(out_b)
+        a, b, t = bloch_decompose(out_b)
         # damping the second qubit scales correlations identically but moves
         # the local Bloch shift to b instead of a
         np.testing.assert_allclose(t, -0.7 * 0.6 * np.eye(3), atol=1e-12)

@@ -29,23 +29,23 @@ def make_counts(shots, fill):
 
 class TestBornProbabilities:
     def test_bell_zz_anticorrelated(self):
-        probs = bd.born_probabilities(bd.bell_state(1, 1), MeasurementSetting("Z", "Z"))
+        probs = tomography.born_probabilities(bd.bell_state(1, 1), MeasurementSetting("Z", "Z"))
         np.testing.assert_allclose(probs, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_maximally_mixed_uniform(self):
         rho = bd.bds_from_spec(bd.BdsSpec(0.25, 0.25, 0.25, 0.25))
         for setting in SETTINGS:
-            np.testing.assert_allclose(bd.born_probabilities(rho, setting), [0.25] * 4, atol=1e-12)
+            np.testing.assert_allclose(tomography.born_probabilities(rho, setting), [0.25] * 4, atol=1e-12)
 
     def test_werner_half_xx(self):
-        probs = bd.born_probabilities(bd.werner(0.5), MeasurementSetting("X", "X"))
+        probs = tomography.born_probabilities(bd.werner(0.5), MeasurementSetting("X", "X"))
         np.testing.assert_allclose(probs, [0.125, 0.375, 0.375, 0.125], atol=1e-12)
 
     def test_normalized_and_nonnegative(self, rng):
         for _ in range(100):
             rho = ginibre_state(rng)
             for setting in SETTINGS:
-                probs = bd.born_probabilities(rho, setting)
+                probs = tomography.born_probabilities(rho, setting)
                 assert np.all(probs >= 0)
                 assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -217,7 +217,7 @@ class TestTomographyCounts:
     )
     def test_unknown_basis_rejected(self, bases):
         with pytest.raises(OutOfRangeError, match="bases"):
-            bd.born_probabilities(bd.werner(0.5), MeasurementSetting(*bases))
+            tomography.born_probabilities(bd.werner(0.5), MeasurementSetting(*bases))
 
 
 class TestEstimateCorrelations:
@@ -288,6 +288,12 @@ class TestReconstruct:
         c[0, 0] = 1.0
         result = bd.reconstruct(c)
         np.testing.assert_allclose(result.state.matrix, np.eye(4) / 4, atol=1e-14)
+
+    def test_results_compare_and_hash_by_identity(self):
+        # The raw matrix is an array, which has no hash and no one truth value to compare by.
+        result, twin = (bd.reconstruct(exact_correlations(bd.werner(0.5))) for _ in range(2))
+        assert result != twin and result not in [twin]
+        assert result == result and result in {result}
 
     def test_unphysical_projected(self):
         # In-range correlations can still be unphysical: this one has a
